@@ -1,13 +1,14 @@
 """Three-sphere Bloch coordinates for two-qubit pure states.
 
 The public surface: quaternion algebra (``Quaternion``, ``PureUnitQuaternion``),
-the fibration maps (``h1``, ``stereographic``, ``inverse_stereographic``,
-``base_from_angles``, ``angles_from_base``), state machinery
-(``TwoQubitState``, ``quasi_state``, ``quasi_density``, ``reduced_density``,
-``concurrence``, ``phase_family_state``, ``partial_trace_projection``),
-the seven-angle conversions (``extract``, ``reconstruct``,
-``normalize_global_phase``, ``canonicalize``, ``shortcut_base``), and gate
+the fibration maps (``h1``, ``inverse_stereographic``, ``base_from_angles``,
+``angles_from_base``), state machinery (``TwoQubitState``, ``quasi_state``,
+``quasi_density``, ``reduced_density``, ``concurrence``,
+``partial_trace_projection``), the seven-angle conversions (``extract``,
+``reconstruct``, ``normalize_global_phase``, ``canonicalize``), and gate
 trajectories (``GateSpec``, ``gate_matrix``, ``apply``, ``trajectory``).
+The paper's alternative routes, kept as test oracles, live in
+``hopfbloch.paper`` and are not imported here.
 """
 
 from .bloch import (
@@ -16,10 +17,8 @@ from .bloch import (
     canonicalize,
     coords_distance,
     extract,
-    fiber_quaternion,
     normalize_global_phase,
     reconstruct,
-    shortcut_base,
 )
 from .errors import (
     BadAxis,
@@ -49,19 +48,16 @@ from .hopf import (
     NORTH_POLE,
     BaseAngles,
     CoordFlag,
-    HopfPointR4,
     S4Point,
     angles_from_base,
     base_from_angles,
     h1,
     inverse_stereographic,
-    stereographic,
 )
 from .quaternion import (
     PureUnitQuaternion,
     Quaternion,
     angle_distance,
-    conjugate_rotate,
     exp_pure,
     from_complex_pair,
     to_complex_pair,
@@ -76,7 +72,6 @@ from .state import (
     concurrence,
     partial_trace_projection,
     phase_aligned_distance,
-    phase_family_state,
     quasi_density,
     quasi_state,
     reduced_density,

@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import OutOfRange, SouthPoleA
-from .hopf import CoordFlag, S4Point, angles_from_base, split_t
+from .hopf import CoordFlag, S4Point, angles_from_base, base_from_angles
 from .quaternion import (
+    TWO_PI,
     PureUnitQuaternion,
-    Quaternion,
     angle_distance,
     exp_pure,
     from_complex_pair,
@@ -33,8 +33,6 @@ from .quaternion import (
 )
 from .state import TwoQubitState
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,10 +83,7 @@ class BlochCoordinates:
 
     @property
     def s4_point(self) -> S4Point:
-        bt = self.b
-        sc = math.sin(self.chi)
-        return S4Point(self.x0, self.x1, bt * sc * math.cos(self.xi),
-                       bt * sc * math.sin(self.xi), bt * math.cos(self.chi))
+        return base_from_angles(self.theta_a, self.phi_a, self.chi, self.xi)
 
     @property
     def qubit_b_vector(self) -> tuple[float, float, float]:
@@ -117,10 +112,27 @@ def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, set]:
     return theta_b, phi_b, zeta_b, flags
 
 
+def south_pole_coords(exc: SouthPoleA) -> BlochCoordinates:
+    """Conventional coordinates for a |1>_A (x) |psi_B> state."""
+    u, v = exc.psi_b
+    theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
+    flags = {CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
+             CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED}
+    flags.update(fiber_flags)
+    return BlochCoordinates(math.pi, 0.0, 0.0, 0.0, theta_b, phi_b, zeta_b,
+                            frozenset(flags))
+
+
 def _base_point(s: TwoQubitState) -> S4Point:
-    """The five base coordinates from the amplitude bilinears."""
+    """The five base coordinates from the amplitude bilinears.
+
+    Raises SouthPoleA for |1>_A (x) |psi_B>, where 1 + x0 vanishes.
+    """
     a, b, g, d = s.amplitudes()
     x0 = abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2
+    if 1.0 + x0 <= EPS_DEGENERATE:
+        n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
+        raise SouthPoleA((g / n, d / n))
     col = 2.0 * (a.conjugate() * g + b.conjugate() * d)
     det2 = 2.0 * (a * d - b * g)
     return S4Point(x0, col.real, -det2.imag, det2.real, col.imag)
@@ -134,10 +146,6 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     """
     a, b_, g, d = s.amplitudes()
     p = _base_point(s)
-    if 1.0 + p.x0 <= EPS_DEGENERATE:
-        n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
-        raise SouthPoleA((g / n, d / n))
-
     base = angles_from_base(p)
     flags = set(base.flags)
 
@@ -233,42 +241,3 @@ def coords_distance(c1: BlochCoordinates, c2: BlochCoordinates) -> float:
     """Wrap-aware sum of the seven angle distances."""
     return sum(angle_distance(a1, a2)
                for a1, a2 in zip(c1.angles(), c2.angles()))
-
-
-@dataclass(frozen=True, slots=True)
-class ShortcutBase:
-    """Base data read off the first column of the quasi-density matrix."""
-
-    x0: float
-    x1: float
-    b: float
-    t: PureUnitQuaternion
-    column: tuple[Quaternion, Quaternion]
-    flags: frozenset[CoordFlag]
-
-
-def shortcut_base(s: TwoQubitState) -> ShortcutBase:
-    """(x0, x1, b, t) without the angle detour, plus the unit column
-    (1 + x0, x1 + b*t) / sqrt(2 (1 + x0)) whose conjugate reads out q_B.
-
-    Raises SouthPoleA when 1 + x0 vanishes (the column is degenerate).
-    """
-    p = _base_point(s)
-    if 1.0 + p.x0 <= EPS_DEGENERATE:
-        g, d = s.gamma, s.delta
-        n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
-        raise SouthPoleA((g / n, d / n))
-    b, t, flags = split_t(p)
-    scale = 1.0 / math.sqrt(2.0 * (1.0 + p.x0))
-    col0 = Quaternion(scale * (1.0 + p.x0), 0.0, 0.0, 0.0)
-    col1 = Quaternion(scale * p.x1, scale * p.x2, scale * p.x3, scale * p.x4)
-    return ShortcutBase(p.x0, p.x1, b, t, (col0, col1), flags)
-
-
-def fiber_quaternion(s: TwoQubitState) -> Quaternion:
-    """q_B via the quasi-density shortcut: conj(column) dotted into the pair."""
-    sc = shortcut_base(s)
-    c0, c1 = sc.column
-    q0 = from_complex_pair(s.alpha, s.beta)
-    q1 = from_complex_pair(s.gamma, s.delta)
-    return c0.conjugate() * q0 + c1.conjugate() * q1

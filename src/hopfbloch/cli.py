@@ -25,7 +25,14 @@ from .bloch import (
     normalize_global_phase,
     reconstruct,
 )
-from .errors import HopfBlochError, NotNormalized, OutOfRange, SouthPoleA, UnknownGate
+from .errors import (
+    FiberAtInfinity,
+    HopfBlochError,
+    NotNormalized,
+    OutOfRange,
+    SouthPoleA,
+    UnknownGate,
+)
 from .gates import GateSpec, Trajectory, trajectory
 from .hopf import CoordFlag, h1, inverse_stereographic
 from .quaternion import Quaternion, angle_distance
@@ -127,11 +134,7 @@ def _south_pole_payload(exc: SouthPoleA) -> dict:
 
 def cmd_coords(args) -> int:
     state, label = _parse_state(args)
-    try:
-        coords = extract(state)
-    except SouthPoleA as exc:
-        _emit(_south_pole_payload(exc))
-        return 3
+    coords = extract(state)
     if args.fix_phase:
         coords = normalize_global_phase(coords)
     if args.canonical:
@@ -187,7 +190,10 @@ def _make_gate(args) -> GateSpec:
         fields = args.axis.split(",")
         if len(fields) != 3:
             raise ParseError("--axis needs 3 comma-separated components")
-        axis = tuple(float(f) for f in fields)
+        try:
+            axis = tuple(float(f) for f in fields)
+        except ValueError as exc:
+            raise ParseError(f"bad --axis {args.axis!r}: {exc}") from None
         return GateSpec.controlled_u(axis, args.omega, args.eta)
     raise UnknownGate(f"unknown gate {args.gate!r}; use cnot, cz, swap or cu")
 
@@ -279,13 +285,21 @@ def _random_states(rng: np.random.Generator, count: int):
 
 
 def cmd_check(args) -> int:
+    seed = args.seed
     seed_env = os.environ.get("HOPFBLOCH_SEED")
-    seed = int(seed_env) if seed_env is not None else args.seed
+    if seed_env is not None:
+        try:
+            seed = int(seed_env)
+        except ValueError:
+            raise ParseError("HOPFBLOCH_SEED must be an integer, "
+                             f"got {seed_env!r}") from None
     rng = np.random.default_rng(seed)
     tol = args.tolerance
 
     if args.state is not None or args.bell is not None:
         states = [_parse_state(args)[0]]
+    elif args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     else:
         states = list(_random_states(rng, args.count))
 
@@ -298,10 +312,7 @@ def cmd_check(args) -> int:
         "fiber_invariance": 0.0,
     }
     for s in states:
-        try:
-            coords = extract(s)
-        except SouthPoleA:
-            continue
+        coords = extract(s)
         back = reconstruct(coords)
         worst["round_trip"] = max(worst["round_trip"],
                                   phase_aligned_distance(s, back))
@@ -346,7 +357,9 @@ def cmd_check(args) -> int:
                             zip((base.x0, base.x1, base.x2, base.x3, base.x4),
                                 (moved.x0, moved.x1, moved.x2, moved.x3, moved.x4)))
             worst["fiber_invariance"] = max(worst["fiber_invariance"], fiber_dev)
-        except HopfBlochError:
+        except FiberAtInfinity:
+            # q1 = 0: every fiber element maps to the north pole, so there
+            # is nothing to compare
             pass
 
     failed = False

@@ -18,13 +18,12 @@ import numpy as np
 
 from .bloch import (
     BlochCoordinates,
-    _fiber_angles,
     alternate,
     coords_distance,
     extract,
+    south_pole_coords,
 )
 from .errors import BadAxis, SouthPoleA
-from .hopf import CoordFlag
 from .state import TwoQubitState
 from .tolerances import EPS_UNIT
 
@@ -101,7 +100,6 @@ class TrajectorySample:
 class Trajectory:
     gate: GateSpec
     samples: tuple[TrajectorySample, ...]
-    initial_state: TwoQubitState
     final_state: TwoQubitState
 
 
@@ -121,17 +119,6 @@ def gate_matrix(g: GateSpec, eta: float, omega: float) -> np.ndarray:
 def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
     """The full gate (its endpoint parameters) applied to a state."""
     return TwoQubitState.from_vector(gate_matrix(g, g.eta, g.omega) @ s.vector)
-
-
-def _south_pole_coords(exc: SouthPoleA) -> BlochCoordinates:
-    """Conventional coordinates for a |1>_A (x) |psi_B> sample."""
-    u, v = exc.psi_b
-    theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
-    flags = {CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
-             CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED}
-    flags.update(fiber_flags)
-    return BlochCoordinates(math.pi, 0.0, 0.0, 0.0, theta_b, phi_b, zeta_b,
-                            frozenset(flags))
 
 
 def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
@@ -159,7 +146,7 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         try:
             canon = extract(state)
         except SouthPoleA as exc:
-            coords = _south_pole_coords(exc)
+            coords = south_pole_coords(exc)
             flip = prev_alt
             prev_alt = False
         else:
@@ -174,4 +161,4 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         samples.append(TrajectorySample(stage, frac, state, coords, flip))
         prev_coords = coords
 
-    return Trajectory(g, tuple(samples), s, samples[-1].state)
+    return Trajectory(g, tuple(samples), samples[-1].state)

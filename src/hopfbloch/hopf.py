@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FiberAtInfinity, NorthPole, NotNormalized, OffSphere
-from .quaternion import PureUnitQuaternion, Quaternion, wrap_angle
+from .errors import FiberAtInfinity, NotNormalized, OffSphere
+from .quaternion import Quaternion, wrap_angle
 from .tolerances import EPS_UNIT, EPS_ZERO
 
 
@@ -28,27 +28,6 @@ class CoordFlag(Enum):
     PHI_B_UNDEFINED = "phi_b_undefined"      # theta_B ~ 0
     SOUTH_POLE_A = "south_pole_a"            # |1>_A (x) |psi_B| exception
     THETA_B_PI_AMBIGUOUS = "theta_b_pi_ambiguous"  # zeta_B pinned to 0
-
-
-@dataclass(frozen=True, slots=True)
-class HopfPointR4:
-    """Q = q1 + q2*i + q3*j + q4*k viewed as a point of R^4."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "HopfPointR4":
-        return cls(q.w, q.x, q.y, q.z)
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(self.q1, self.q2, self.q3, self.q4)
-
-    def norm_squared(self) -> float:
-        return (self.q1 * self.q1 + self.q2 * self.q2
-                + self.q3 * self.q3 + self.q4 * self.q4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +57,9 @@ class S4Point:
         return (self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2
                 + self.x3 * self.x3 + self.x4 * self.x4)
 
-    def validate(self, tol: float = EPS_UNIT) -> None:
+    def validate(self) -> None:
         err = abs(self.norm_squared() - 1.0)
-        if err > tol:
+        if err > EPS_UNIT:
             raise OffSphere(f"coordinates off the unit 4-sphere by {err:.3e}")
 
 
@@ -98,7 +77,7 @@ class BaseAngles:
     flags: frozenset[CoordFlag]
 
 
-def h1(q0: Quaternion, q1: Quaternion) -> HopfPointR4:
+def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     """Map a unit quaternion pair to Q = q1 * conj(q0) / |q1|^2 in R^4.
 
     Right multiplication of both inputs by a common unit quaternion leaves
@@ -112,23 +91,15 @@ def h1(q0: Quaternion, q1: Quaternion) -> HopfPointR4:
     n2 = q1.norm_squared()
     if n2 <= EPS_ZERO * EPS_ZERO:
         raise FiberAtInfinity("q1 = 0 maps to the excluded north pole")
-    return HopfPointR4.from_quaternion((q1 * q0.conjugate()) * (1.0 / n2))
+    return (q1 * q0.conjugate()) * (1.0 / n2)
 
 
-def inverse_stereographic(point: HopfPointR4) -> S4Point:
-    """Lift R^4 onto the unit 4-sphere (origin to the south pole)."""
-    n2 = point.norm_squared()
+def inverse_stereographic(q: Quaternion) -> S4Point:
+    """Lift the R^4 point Q onto the unit 4-sphere (origin to the south pole)."""
+    n2 = q.norm_squared()
     d = n2 + 1.0
-    return S4Point((n2 - 1.0) / d, 2.0 * point.q1 / d, 2.0 * point.q2 / d,
-                   2.0 * point.q3 / d, 2.0 * point.q4 / d)
-
-
-def stereographic(p: S4Point) -> HopfPointR4:
-    """Project the 4-sphere minus the north pole back onto R^4."""
-    if p.x0 >= 1.0 - EPS_ZERO:
-        raise NorthPole("x0 = 1 is the projection point")
-    d = 1.0 - p.x0
-    return HopfPointR4(p.x1 / d, p.x2 / d, p.x3 / d, p.x4 / d)
+    return S4Point((n2 - 1.0) / d, 2.0 * q.w / d, 2.0 * q.x / d,
+                   2.0 * q.y / d, 2.0 * q.z / d)
 
 
 def base_from_angles(theta: float, phi: float, chi: float, xi: float) -> S4Point:
@@ -186,14 +157,3 @@ def angles_from_base(p: S4Point) -> BaseAngles:
             xi = wrap_angle(math.atan2(p.x3, p.x2))
 
     return BaseAngles(theta, phi, chi, xi, frozenset(flags))
-
-
-def split_t(p: S4Point) -> tuple[float, PureUnitQuaternion, frozenset[CoordFlag]]:
-    """Split the (x2, x3, x4) block into b >= 0 and the unit t direction.
-
-    Falls back to t = k (flagged) when b vanishes.
-    """
-    b = p.b
-    if b <= EPS_ZERO:
-        return 0.0, PureUnitQuaternion(0.0, 0.0, 1.0), frozenset({CoordFlag.T_UNDEFINED})
-    return b, PureUnitQuaternion(p.x2 / b, p.x3 / b, p.x4 / b), frozenset()

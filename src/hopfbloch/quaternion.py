@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotPureUnit, NotUnit, ZeroNorm
+from .errors import NotPureUnit, ZeroNorm
 from .tolerances import EPS_UNIT, EPS_ZERO
 
 TWO_PI = 2.0 * math.pi
@@ -97,12 +97,8 @@ class Quaternion:
             raise ZeroNorm(f"cannot invert quaternion with norm {math.sqrt(n2):.3e}")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
-    def is_unit(self, tol: float = EPS_UNIT) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
-                and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= EPS_UNIT
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -175,22 +171,7 @@ class PureUnitQuaternion:
         return PureUnitQuaternion(-self.tx, -self.ty, -self.tz)
 
 
-T_K = PureUnitQuaternion(0.0, 0.0, 1.0)
-
-
 def exp_pure(t: PureUnitQuaternion, phi: float) -> Quaternion:
     """exp(t*phi) = cos(phi) + t*sin(phi); always unit norm."""
     c, s = math.cos(phi), math.sin(phi)
     return Quaternion(c, s * t.tx, s * t.ty, s * t.tz)
-
-
-def conjugate_rotate(q: Quaternion, t: PureUnitQuaternion) -> PureUnitQuaternion:
-    """Rotate the unit t by a unit quaternion q as conj(q) * t * q.
-
-    For q = exp(k*zeta) this turns t clockwise around the k axis by 2*zeta.
-    The opposite sandwich q * t * conj(q) is obtained by passing conj(q).
-    """
-    if not q.is_unit():
-        raise NotUnit(f"rotor norm {q.norm():.12g} is not 1")
-    r = q.conjugate() * t.as_quaternion() * q
-    return PureUnitQuaternion.from_quaternion(r, tol=1e-6)

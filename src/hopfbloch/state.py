@@ -108,7 +108,6 @@ class QuasiState:
 
     q0: Quaternion
     q1: Quaternion
-    basis: Basis = Basis.A
 
     def norm_squared(self) -> float:
         return self.q0.norm_squared() + self.q1.norm_squared()
@@ -118,9 +117,9 @@ def quasi_state(s: TwoQubitState, basis: Basis = Basis.A) -> QuasiState:
     """Fold the non-base qubit into quaternion units: |0> -> 1, |1> -> j."""
     if basis is Basis.A:
         return QuasiState(from_complex_pair(s.alpha, s.beta),
-                          from_complex_pair(s.gamma, s.delta), Basis.A)
+                          from_complex_pair(s.gamma, s.delta))
     return QuasiState(from_complex_pair(s.alpha, s.gamma),
-                      from_complex_pair(s.beta, s.delta), Basis.B)
+                      from_complex_pair(s.beta, s.delta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,26 +182,6 @@ def concurrence(s: TwoQubitState) -> tuple[float, float]:
     """
     det = s.alpha * s.delta - s.beta * s.gamma
     return 2.0 * abs(det), wrap_angle(cmath.phase(det))
-
-
-def phase_family_state(a: float, b: float, c: float, d: float,
-                       phi1: float, phi2: float, eta: float = 0.0) -> TwoQubitState:
-    """State with a pinned concurrence phase and free pairwise phases.
-
-    Amplitudes e^(k*eta) * (a e^(-k*phi1), b e^(-k*phi2), c e^(k*phi2),
-    d e^(k*phi1)) for non-negative a, b, c, d; the amplitude determinant is
-    (a*d - b*c) e^(2k*eta), so the concurrence is 2|a*d - b*c|.
-    """
-    if min(a, b, c, d) < 0.0:
-        raise ValueError("magnitudes a, b, c, d must be non-negative")
-    n = math.sqrt(a * a + b * b + c * c + d * d)
-    if abs(n - 1.0) > EPS_UNIT:
-        raise NotNormalized(f"magnitude vector norm {n:.12g} is not 1")
-    g = cmath.exp(1j * eta)
-    return TwoQubitState(g * a * cmath.exp(-1j * phi1),
-                         g * b * cmath.exp(-1j * phi2),
-                         g * c * cmath.exp(1j * phi2),
-                         g * d * cmath.exp(1j * phi1))
 
 
 def partial_trace_projection(p: S4Point) -> np.ndarray:

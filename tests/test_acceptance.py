@@ -25,7 +25,6 @@ from hopfbloch import (
     normalize_global_phase,
     partial_trace_projection,
     phase_aligned_distance,
-    phase_family_state,
     quasi_density,
     quasi_state,
     reconstruct,
@@ -33,6 +32,7 @@ from hopfbloch import (
     trajectory,
 )
 from hopfbloch.cli import main
+from hopfbloch.paper import phase_family_state
 from hopfbloch.quaternion import angle_distance
 
 from helpers import SQ2, dense_reduced, random_quaternion, random_states

@@ -17,14 +17,13 @@ from hopfbloch import (
     concurrence,
     coords_distance,
     extract,
-    fiber_quaternion,
     normalize_global_phase,
     phase_aligned_distance,
     quasi_density,
     quasi_state,
     reconstruct,
-    shortcut_base,
 )
+from hopfbloch.paper import fiber_quaternion, shortcut_base
 from hopfbloch.quaternion import (
     PureUnitQuaternion,
     Quaternion,

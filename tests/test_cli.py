@@ -1,11 +1,13 @@
+import ast
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopfbloch import TwoQubitState, bell_state, phase_aligned_distance
+from hopfbloch import OffSphere, TwoQubitState, bell_state, phase_aligned_distance
 from hopfbloch.cli import main
 
 from helpers import SQ2, random_states
@@ -262,3 +264,69 @@ def test_traj_with_south_pole_samples(capsys):
     for sample in record["samples"]:
         assert "south_pole_a" in sample["flags"]
         assert sample["angles"]["theta_a"] == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["traj", "cu", "--axis", "a,b,c", "--bell", "00"], {}),
+    (["check", "--count", "20"], {"HOPFBLOCH_SEED": "abc"}),
+    (["check", "--count", "-1"], {}),
+    (["check", "--count", "0"], {}),
+], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count"])
+def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
+def test_check_south_pole_state_is_an_error(capsys):
+    code, out = run(capsys, ["check", "--state=0,0;0,0;1,0;0,0"])
+    assert code == 3
+    assert json.loads(out)["error"] == "south_pole_a"
+
+
+def test_check_fiber_step_skips_only_fiber_at_infinity(capsys, monkeypatch):
+    # q1 = 0 (gamma = delta = 0): h1 raises FiberAtInfinity, which is skipped
+    code, out = run(capsys, ["check", "--state=1,0;0,0;0,0;0,0"])
+    assert code == 0
+    assert out.count("ok  ") == 6
+    assert "checked 1 state(s)" in out
+
+    def off_sphere(q):
+        raise OffSphere("injected")
+
+    monkeypatch.setattr("hopfbloch.cli.inverse_stereographic", off_sphere)
+    code, out = run(capsys, ["check", "--bell", "00"])
+    assert code == 3
+    assert json.loads(out)["error"] == "domain"
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+GOLDENS = BENCHMARKS / "goldens"
+
+
+def _golden_commands():
+    """(name, argv) of the benchmark's golden CLI commands, read from
+    benchmarks/run.py without importing it (importing sets process env)."""
+    tree = ast.parse((BENCHMARKS / "run.py").read_text())
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Name) and target.id == "CLI_COMMANDS":
+            commands = ast.literal_eval(node.value)
+            return [(c[0], c[1]) for c in commands if c[3] == "golden"]
+    raise LookupError("CLI_COMMANDS not found in benchmarks/run.py")
+
+
+GOLDEN_COMMANDS = _golden_commands()
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_COMMANDS,
+                         ids=[name for name, _ in GOLDEN_COMMANDS])
+def test_cli_output_matches_benchmark_goldens(capsys, monkeypatch, name, argv):
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    want_codes = json.loads((GOLDENS / "exit_codes.json").read_text())
+    code, out = run(capsys, argv)
+    assert code == want_codes[name]
+    assert out.encode() == (GOLDENS / f"{name}.out").read_bytes()

@@ -6,7 +6,6 @@ import pytest
 from hopfbloch import (
     CoordFlag,
     FiberAtInfinity,
-    HopfPointR4,
     NORTH_POLE,
     NorthPole,
     NotNormalized,
@@ -17,8 +16,8 @@ from hopfbloch import (
     base_from_angles,
     h1,
     inverse_stereographic,
-    stereographic,
 )
+from hopfbloch.paper import stereographic
 from hopfbloch.quaternion import J, angle_distance
 
 from helpers import SQ2, random_quaternion
@@ -38,12 +37,12 @@ def normalized_pair(rng):
 
 def test_h1_bell_like_pair():
     got = h1(Quaternion(SQ2, 0, 0, 0), J * SQ2)
-    assert max(abs(got.q1), abs(got.q2), abs(got.q3 - 1), abs(got.q4)) <= 1e-15
+    assert max(abs(got.w), abs(got.x), abs(got.y - 1), abs(got.z)) <= 1e-15
 
 
 def test_h1_zero_upper_component():
     got = h1(Quaternion(0, 0, 0, 0), Quaternion(1, 0, 0, 0))
-    assert (got.q1, got.q2, got.q3, got.q4) == (0, 0, 0, 0)
+    assert (got.w, got.x, got.y, got.z) == (0, 0, 0, 0)
 
 
 def test_h1_right_fiber_invariance():
@@ -55,8 +54,8 @@ def test_h1_right_fiber_invariance():
         f = random_quaternion(rng, unit=True)
         base = h1(q0, q1)
         moved = h1(q0 * f, q1 * f)
-        assert max(abs(base.q1 - moved.q1), abs(base.q2 - moved.q2),
-                   abs(base.q3 - moved.q3), abs(base.q4 - moved.q4)) <= 1e-9
+        assert max(abs(base.w - moved.w), abs(base.x - moved.x),
+                   abs(base.y - moved.y), abs(base.z - moved.z)) <= 1e-9
 
 
 def test_h1_errors():
@@ -67,21 +66,21 @@ def test_h1_errors():
 
 
 def test_inverse_stereographic_examples():
-    assert s4_close(inverse_stereographic(HopfPointR4(0, 0, 0, 0)),
+    assert s4_close(inverse_stereographic(Quaternion(0, 0, 0, 0)),
                     S4Point(-1, 0, 0, 0, 0), tol=0)
-    assert s4_close(inverse_stereographic(HopfPointR4(0, 0, 1, 0)),
+    assert s4_close(inverse_stereographic(Quaternion(0, 0, 1, 0)),
                     S4Point(0, 0, 0, 1, 0), tol=0)
-    assert s4_close(inverse_stereographic(HopfPointR4(1, 0, 0, 0)),
+    assert s4_close(inverse_stereographic(Quaternion(1, 0, 0, 0)),
                     S4Point(0, 1, 0, 0, 0), tol=0)
 
 
 def test_stereographic_examples():
     got = stereographic(S4Point(-1, 0, 0, 0, 0))
-    assert (got.q1, got.q2, got.q3, got.q4) == (0, 0, 0, 0)
+    assert (got.w, got.x, got.y, got.z) == (0, 0, 0, 0)
     got = stereographic(S4Point(0, 0, 0, 1, 0))
-    assert (got.q1, got.q2, got.q3, got.q4) == (0, 0, 1, 0)
+    assert (got.w, got.x, got.y, got.z) == (0, 0, 1, 0)
     got = stereographic(S4Point(0, 1, 0, 0, 0))
-    assert (got.q1, got.q2, got.q3, got.q4) == (1, 0, 0, 0)
+    assert (got.w, got.x, got.y, got.z) == (1, 0, 0, 0)
 
 
 def test_stereographic_north_pole_rejected():
@@ -92,12 +91,12 @@ def test_stereographic_north_pole_rejected():
 def test_projection_pair_roundtrip():
     rng = np.random.default_rng(12)
     for _ in range(500):
-        q = HopfPointR4(*rng.normal(scale=3.0, size=4))
+        q = Quaternion(*rng.normal(scale=3.0, size=4))
         p = inverse_stereographic(q)
         assert abs(p.norm_squared() - 1.0) <= 1e-12
         back = stereographic(p)
-        assert max(abs(q.q1 - back.q1), abs(q.q2 - back.q2),
-                   abs(q.q3 - back.q3), abs(q.q4 - back.q4)) <= 1e-9
+        assert max(abs(q.w - back.w), abs(q.x - back.x),
+                   abs(q.y - back.y), abs(q.z - back.z)) <= 1e-9
     for _ in range(500):
         v = rng.normal(size=5)
         v /= np.linalg.norm(v)

@@ -10,12 +10,12 @@ from hopfbloch import (
     Quaternion,
     ZeroNorm,
     angle_distance,
-    conjugate_rotate,
     exp_pure,
     from_complex_pair,
     to_complex_pair,
     wrap_angle,
 )
+from hopfbloch.paper import conjugate_rotate
 from hopfbloch.quaternion import I, J, K, ONE
 
 from helpers import quaternion_close, random_quaternion

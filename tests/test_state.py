@@ -16,11 +16,11 @@ from hopfbloch import (
     extract,
     partial_trace_projection,
     phase_aligned_distance,
-    phase_family_state,
     quasi_density,
     quasi_state,
     reduced_density,
 )
+from hopfbloch.paper import phase_family_state
 from hopfbloch.quaternion import J, ONE, angle_distance
 
 from helpers import (
