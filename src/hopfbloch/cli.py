@@ -278,9 +278,6 @@ def _random_states(rng: np.random.Generator, count: int):
     for row in raw:
         vec = row[0::2] + 1j * row[1::2]
         vec /= np.linalg.norm(vec)
-        if 1.0 + (abs(vec[0]) ** 2 + abs(vec[1]) ** 2
-                  - abs(vec[2]) ** 2 - abs(vec[3]) ** 2) <= 1e-6:
-            continue
         yield TwoQubitState.from_vector(vec)
 
 
@@ -325,7 +322,8 @@ def cmd_check(args) -> int:
             dev = max(dev, abs(claim - det2))
         worst["concurrence_identity"] = max(worst["concurrence_identity"], dev)
 
-        rho = quasi_density(quasi_state(s, Basis.A))
+        qs = quasi_state(s, Basis.A)
+        rho = quasi_density(qs)
         sq = rho.matmul(rho)
         proj_dev = abs(rho.trace - 1.0)
         for e1, e2 in zip(sq.entries(), rho.entries()):
@@ -333,11 +331,11 @@ def cmd_check(args) -> int:
             proj_dev = max(proj_dev, diff.norm())
         worst["projector"] = max(worst["projector"], proj_dev)
 
-        for keep in (Basis.A, Basis.B):
-            dense = _dense_reduced(s.vector, keep)
+        dense = {keep: _dense_reduced(s.vector, keep) for keep in Basis}
+        for keep in Basis:
             worst["reduced_vs_oracle"] = max(
                 worst["reduced_vs_oracle"],
-                float(np.max(np.abs(reduced_density(s, keep) - dense))))
+                float(np.max(np.abs(reduced_density(s, keep) - dense[keep]))))
 
         p = coords.s4_point
         ball = p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2
@@ -345,9 +343,8 @@ def cmd_check(args) -> int:
         proj = partial_trace_projection(p)
         worst["reduced_vs_oracle"] = max(
             worst["reduced_vs_oracle"],
-            float(np.max(np.abs(proj - _dense_reduced(s.vector, Basis.A)))))
+            float(np.max(np.abs(proj - dense[Basis.A]))))
 
-        qs = quasi_state(s, Basis.A)
         raw = rng.normal(size=4)
         fib = Quaternion(*(raw / np.linalg.norm(raw)))
         try:

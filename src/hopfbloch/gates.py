@@ -1,17 +1,18 @@
 """Two-qubit gates as phase-then-rotation paths, sampled into coordinates.
 
-A controlled-U factors as e^(k*eta) R_n(omega) on its active 2x2 block.
-The sampled path sweeps the phase first (eta: 0 -> pi/2 at omega = 0) and
-then the rotation (omega: 0 -> pi at eta = pi/2); each sample applies the
-partially swept gate to the same input state.  CNOT and CZ place the block
-on the (gamma, delta) pair (qubit A controls); SWAP places its X block on
-the (beta, gamma) pair.
+A controlled-U factors as e^(k*eta) R_n(omega) on its active 2x2 block, and
+`apply` updates only that amplitude pair.  The sampled path sweeps the phase
+first (eta: 0 -> pi/2 at omega = 0) and then the rotation (omega: 0 -> pi at
+eta = pi/2); each sample applies the partially swept gate to the same input
+state.  CNOT and CZ place the block on the (gamma, delta) pair (qubit A
+controls); SWAP places its X block on the (beta, gamma) pair.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -28,12 +29,6 @@ from .state import TwoQubitState
 from .tolerances import EPS_UNIT
 
 _HALF_PI = 0.5 * math.pi
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class GateKind(Enum):
@@ -103,22 +98,29 @@ class Trajectory:
     final_state: TwoQubitState
 
 
-def gate_matrix(g: GateSpec, eta: float, omega: float) -> np.ndarray:
-    """4x4 unitary with e^(k*eta) R_axis(omega) on the gate's active block."""
-    nx, ny, nz = g.axis
-    n_sigma = nx * _PAULI["x"] + ny * _PAULI["y"] + nz * _PAULI["z"]
-    half = 0.5 * omega
-    block = np.exp(1j * eta) * (math.cos(half) * np.eye(2, dtype=complex)
-                                - 1j * math.sin(half) * n_sigma)
-    i, j = g.block_indices
-    m = np.eye(4, dtype=complex)
-    m[np.ix_((i, j), (i, j))] = block
-    return m
-
-
 def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
-    """The full gate (its endpoint parameters) applied to a state."""
-    return TwoQubitState.from_vector(gate_matrix(g, g.eta, g.omega) @ s.vector)
+    """e^(k*eta) (cos(omega/2) - k sin(omega/2) n.sigma) on g's active pair."""
+    nx, ny, nz = g.axis
+    c = math.cos(0.5 * g.omega)
+    sn = math.sin(0.5 * g.omega)
+    ph = cmath.exp(1j * g.eta)
+    # the phase goes into each entry before the products: the CLI goldens
+    # hold that rounding
+    m00 = ph * complex(c, -sn * nz)
+    m01 = ph * complex(-sn * ny, -sn * nx)
+    m10 = ph * complex(sn * ny, -sn * nx)
+    m11 = ph * complex(c, sn * nz)
+    v = list(s.amplitudes())
+    i, j = g.block_indices
+    v[i], v[j] = m00 * v[i] + m01 * v[j], m10 * v[i] + m11 * v[j]
+    return TwoQubitState(*v)
+
+
+def gate_matrix(g: GateSpec, eta: float, omega: float) -> np.ndarray:
+    """4x4 unitary of g swept to (eta, omega): column m is its apply on |m>."""
+    swept = replace(g, eta=eta, omega=omega)
+    return np.array([apply(swept, TwoQubitState(*e)).amplitudes()
+                     for e in np.eye(4, dtype=complex)]).T
 
 
 def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
@@ -142,7 +144,7 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
     prev_coords = None
     prev_alt = False
     for stage, frac, eta, omega in schedule:
-        state = TwoQubitState.from_vector(gate_matrix(g, eta, omega) @ s.vector)
+        state = apply(replace(g, eta=eta, omega=omega), s)
         try:
             canon = extract(state)
         except SouthPoleA as exc:

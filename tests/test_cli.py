@@ -303,6 +303,23 @@ def test_check_fiber_step_skips_only_fiber_at_infinity(capsys, monkeypatch):
     assert json.loads(out)["error"] == "domain"
 
 
+def test_check_random_sweep_checks_every_draw(capsys, monkeypatch):
+    # alpha = 1e-4, gamma = 1 gives 1 + x0 = 2e-8: close to the south pole but
+    # outside EPS_DEGENERATE, so the state is regular and must be checked
+    class StubRng:
+        def normal(self, size):
+            if size == (1, 8):
+                return np.array([[1e-4, 0, 0, 0, 1, 0, 0, 0]])
+            return np.array([0.5, 0.5, 0.5, 0.5])
+
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: StubRng())
+    code, out = run(capsys, ["check", "--count", "1"])
+    assert code == 0
+    assert out.count("ok  ") == 6
+    assert "checked 1 state(s)" in out
+
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 GOLDENS = BENCHMARKS / "goldens"
 

@@ -6,6 +6,7 @@ import pytest
 from hopfbloch import (
     BadAxis,
     CoordFlag,
+    GateKind,
     GateSpec,
     Stage,
     TwoQubitState,
@@ -22,6 +23,21 @@ from hopfbloch.quaternion import angle_distance
 from helpers import SQ2, random_states
 
 PI = math.pi
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def dense_gate(g, eta, omega):
+    """Oracle: the 4x4 gate from Pauli matrices, block embedded with np.ix_."""
+    n_sigma = sum(a * p for a, p in zip(g.axis, _PAULI))
+    block = np.exp(1j * eta) * (math.cos(0.5 * omega) * np.eye(2, dtype=complex)
+                                - 1j * math.sin(0.5 * omega) * n_sigma)
+    i, j = (1, 2) if g.kind is GateKind.SWAP else (2, 3)
+    m = np.eye(4, dtype=complex)
+    m[np.ix_((i, j), (i, j))] = block
+    return m
 
 
 def test_gate_matrix_endpoints():
@@ -199,3 +215,28 @@ def test_trajectory_samples_unitary_states():
 def test_non_finite_axis_rejected():
     with pytest.raises(BadAxis):
         GateSpec.controlled_u((float("nan"), 0.0, 0.0), PI, PI / 2)
+
+
+def test_closed_form_block_matches_dense_oracle():
+    # every kind with random axes, so both block placements are exercised:
+    # (1, 2) for SWAP and (2, 3) for the rest
+    rng = np.random.default_rng(53)
+    states = random_states(rng, 4)
+    for _ in range(10):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        eta, omega = rng.uniform(-2 * PI, 2 * PI, size=2)
+        for kind in GateKind:
+            g = GateSpec(kind, tuple(axis), eta, omega)
+            dense = dense_gate(g, eta, omega)
+            assert np.max(np.abs(gate_matrix(g, eta, omega) - dense)) <= 1e-12
+            for s in states:
+                got = apply(g, s).vector
+                assert np.max(np.abs(got - dense @ s.vector)) <= 1e-12
+            traj = trajectory(g, states[0], 5, 5)
+            for smp in traj.samples:
+                phase = smp.stage is Stage.PHASE_RAMP
+                want = dense_gate(g, eta * smp.s if phase else eta,
+                                  0.0 if phase else omega * smp.s)
+                assert np.max(np.abs(smp.state.vector
+                                     - want @ states[0].vector)) <= 1e-12
