@@ -27,11 +27,10 @@ from .quaternion import (
     PureUnitQuaternion,
     angle_distance,
     exp_pure,
-    from_complex_pair,
     to_complex_pair,
     wrap_angle,
 )
-from .state import TwoQubitState
+from .state import TwoQubitState, quasi_state
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
 
 
@@ -74,12 +73,8 @@ class BlochCoordinates:
         return PureUnitQuaternion.from_angles(self.chi, self.xi)
 
     @property
-    def signed_concurrence(self) -> float:
-        return self.b * math.sin(self.chi)
-
-    @property
     def concurrence(self) -> float:
-        return abs(self.signed_concurrence)
+        return abs(self.b * math.sin(self.chi))
 
     @property
     def s4_point(self) -> S4Point:
@@ -144,7 +139,6 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     Raises SouthPoleA (carrying the normalized qubit-B amplitudes) for
     states of the form |1>_A (x) |psi_B>, where the model is undefined.
     """
-    a, b_, g, d = s.amplitudes()
     p = _base_point(s)
     base = angles_from_base(p)
     flags = set(base.flags)
@@ -154,9 +148,8 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     ch = math.sqrt(max(0.0, 0.5 * (1.0 + p.x0)))
     sh = math.sqrt(max(0.0, 0.5 * (1.0 - p.x0)))
     t = PureUnitQuaternion.from_angles(base.chi, base.xi)
-    q0 = from_complex_pair(a, b_)
-    q1 = from_complex_pair(g, d)
-    q_b = ch * q0 + sh * (exp_pure(t, -base.phi) * q1)
+    qs = quasi_state(s)
+    q_b = ch * qs.q0 + sh * (exp_pure(t, -base.phi) * qs.q1)
     u, v = to_complex_pair(q_b)
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
     flags.update(fiber_flags)

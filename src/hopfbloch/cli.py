@@ -90,16 +90,18 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     return record
 
 
-def _state_record(s: TwoQubitState, label: str | None) -> dict:
-    record = {}
-    if label is not None:
-        record["label"] = label
-    record["amplitudes"] = [_pair(z) for z in s.amplitudes()]
-    return record
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _floats(text: str, count: int, what: str) -> list[float]:
+    fields = text.split(",")
+    if len(fields) != count:
+        raise ParseError(f"{what} {text!r}: need {count} comma-separated numbers")
+    try:
+        return [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {text!r}: {exc}") from None
 
 
 def _parse_state(args) -> tuple[TwoQubitState, str | None]:
@@ -112,15 +114,7 @@ def _parse_state(args) -> tuple[TwoQubitState, str | None]:
     parts = args.state.split(";")
     if len(parts) != 4:
         raise ParseError("--state needs four 're,im' pairs separated by ';'")
-    amps = []
-    for part in parts:
-        fields = part.split(",")
-        if len(fields) != 2:
-            raise ParseError(f"bad amplitude {part!r}, expected 're,im'")
-        try:
-            amps.append(complex(float(fields[0]), float(fields[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad amplitude {part!r}: {exc}") from None
+    amps = [complex(*_floats(part, 2, "amplitude")) for part in parts]
     return TwoQubitState(*amps), None
 
 
@@ -143,22 +137,10 @@ def cmd_coords(args) -> int:
     return 0
 
 
-def _parse_angles(text: str) -> BlochCoordinates:
-    fields = text.split(",")
-    if len(fields) != 7:
-        raise ParseError("--angles needs 7 comma-separated radians: "
-                         "theta_a,phi_a,chi,xi,theta_b,phi_b,zeta_b")
-    try:
-        values = [float(f) for f in fields]
-    except ValueError as exc:
-        raise ParseError(f"bad angle list: {exc}") from None
-    return BlochCoordinates(*values)
-
-
 def cmd_amplitudes(args) -> int:
-    coords = _parse_angles(args.angles)
+    coords = BlochCoordinates(*_floats(args.angles, 7, "--angles"))
     state = reconstruct(coords)
-    record = _state_record(state, None)
+    record = {"amplitudes": [_pair(z) for z in state.amplitudes()]}
     if args.roundtrip:
         try:
             again = extract(state)
@@ -178,22 +160,13 @@ def cmd_amplitudes(args) -> int:
 
 def _make_gate(args) -> GateSpec:
     name = args.gate.lower()
-    if name == "cnot":
-        return GateSpec.cnot()
-    if name == "cz":
-        return GateSpec.cz()
-    if name == "swap":
-        return GateSpec.swap()
+    fixed = {"cnot": GateSpec.cnot, "cz": GateSpec.cz, "swap": GateSpec.swap}
+    if name in fixed:
+        return fixed[name]()
     if name in ("cu", "controlled-u"):
         if args.axis is None:
             raise ParseError("controlled-U needs --axis nx,ny,nz")
-        fields = args.axis.split(",")
-        if len(fields) != 3:
-            raise ParseError("--axis needs 3 comma-separated components")
-        try:
-            axis = tuple(float(f) for f in fields)
-        except ValueError as exc:
-            raise ParseError(f"bad --axis {args.axis!r}: {exc}") from None
+        axis = _floats(args.axis, 3, "--axis")
         return GateSpec.controlled_u(axis, args.omega, args.eta)
     raise UnknownGate(f"unknown gate {args.gate!r}; use cnot, cz, swap or cu")
 
@@ -290,6 +263,8 @@ def cmd_check(args) -> int:
         except ValueError:
             raise ParseError("HOPFBLOCH_SEED must be an integer, "
                              f"got {seed_env!r}") from None
+    if seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     tol = args.tolerance
 
@@ -331,19 +306,17 @@ def cmd_check(args) -> int:
             proj_dev = max(proj_dev, diff.norm())
         worst["projector"] = max(worst["projector"], proj_dev)
 
+        p = coords.s4_point
         dense = {keep: _dense_reduced(s.vector, keep) for keep in Basis}
-        for keep in Basis:
+        pairs = [(reduced_density(s, keep), dense[keep]) for keep in Basis]
+        pairs.append((partial_trace_projection(p), dense[Basis.A]))
+        for got, oracle in pairs:
             worst["reduced_vs_oracle"] = max(
                 worst["reduced_vs_oracle"],
-                float(np.max(np.abs(reduced_density(s, keep) - dense[keep]))))
+                float(np.max(np.abs(got - oracle))))
 
-        p = coords.s4_point
         ball = p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2
         worst["ball_identity"] = max(worst["ball_identity"], abs(ball - 1.0))
-        proj = partial_trace_projection(p)
-        worst["reduced_vs_oracle"] = max(
-            worst["reduced_vs_oracle"],
-            float(np.max(np.abs(proj - dense[Basis.A]))))
 
         raw = rng.normal(size=4)
         fib = Quaternion(*(raw / np.linalg.norm(raw)))
@@ -423,6 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (class, error kind, exit code), most specific class first
+_ERRORS = (
+    (ParseError, "parse", 2),
+    (UnknownGate, "unknown_gate", 4),
+    (NotNormalized, "not_normalized", 3),
+    (OutOfRange, "out_of_range", 3),
+    (HopfBlochError, "domain", 3),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -431,22 +414,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        _emit({"error": "parse", "message": str(exc)})
-        return 2
-    except UnknownGate as exc:
-        _emit({"error": "unknown_gate", "message": str(exc)})
-        return 4
     except SouthPoleA as exc:
         _emit(_south_pole_payload(exc))
         return 3
-    except (NotNormalized, OutOfRange) as exc:
-        kind = "not_normalized" if isinstance(exc, NotNormalized) else "out_of_range"
+    except (ParseError, HopfBlochError) as exc:
+        kind, code = next((kind, code) for cls, kind, code in _ERRORS
+                          if isinstance(exc, cls))
         _emit({"error": kind, "message": str(exc)})
-        return 3
-    except HopfBlochError as exc:
-        _emit({"error": "domain", "message": str(exc)})
-        return 3
+        return code
 
 
 if __name__ == "__main__":

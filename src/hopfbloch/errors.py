@@ -54,7 +54,7 @@ class SouthPoleA(HopfBlochError):
         psi_b: (c0, c1) complex pair, the normalized qubit-B state.
     """
 
-    def __init__(self, psi_b, message="state is |1>_A (x) |psi_B>; seven-angle "
-                 "coordinates undefined, use the single-qubit fallback"):
-        super().__init__(message)
+    def __init__(self, psi_b):
+        super().__init__("state is |1>_A (x) |psi_B>; seven-angle "
+                         "coordinates undefined, use the single-qubit fallback")
         self.psi_b = psi_b

@@ -24,7 +24,7 @@ from .bloch import (
     extract,
     south_pole_coords,
 )
-from .errors import BadAxis, SouthPoleA
+from .errors import BadAxis, OutOfRange, SouthPoleA
 from .state import TwoQubitState
 from .tolerances import EPS_UNIT
 
@@ -52,6 +52,9 @@ class GateSpec:
         # negated form so non-finite axes fail too
         if not (abs(n - 1.0) <= EPS_UNIT):
             raise BadAxis(f"axis norm {n:.12g} is not 1")
+        if not (math.isfinite(self.eta) and math.isfinite(self.omega)):
+            raise OutOfRange(f"gate endpoints eta = {self.eta!r}, "
+                             f"omega = {self.omega!r} must be finite")
 
     @classmethod
     def cnot(cls) -> "GateSpec":
@@ -129,9 +132,9 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
 
     n1 samples sweep the phase (the first is the untouched input), n2 sweep
     the rotation (the last is the full gate).  Every sample carries extracted
-    coordinates; when the (-b, -t) twin of the canonical extraction is
-    wrap-closer to the previously emitted sample it is emitted instead and
-    the flip is flagged.  South-pole samples are flagged, not fatal.
+    coordinates; the (-b, -t) twin of the canonical extraction is emitted
+    when it is wrap-closer to the previous sample, and branch_flip marks each
+    change of branch.  South-pole samples are flagged, canonical, not fatal.
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("n1 and n2 must be at least 2")
@@ -145,22 +148,20 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
     prev_alt = False
     for stage, frac, eta, omega in schedule:
         state = apply(replace(g, eta=eta, omega=omega), s)
+        use_alt = False
         try:
             canon = extract(state)
         except SouthPoleA as exc:
             coords = south_pole_coords(exc)
-            flip = prev_alt
-            prev_alt = False
         else:
             twin = alternate(canon)
-            use_alt = False
             if prev_coords is not None and twin is not canon:
                 use_alt = (coords_distance(twin, prev_coords)
                            < coords_distance(canon, prev_coords))
             coords = twin if use_alt else canon
-            flip = prev_coords is not None and use_alt != prev_alt
-            prev_alt = use_alt
-        samples.append(TrajectorySample(stage, frac, state, coords, flip))
+        samples.append(TrajectorySample(stage, frac, state, coords,
+                                        use_alt != prev_alt))
         prev_coords = coords
+        prev_alt = use_alt
 
     return Trajectory(g, tuple(samples), samples[-1].state)

@@ -82,10 +82,11 @@ def conjugate_rotate(q: Quaternion, t: PureUnitQuaternion) -> PureUnitQuaternion
     For q = exp(k*zeta) this turns t clockwise around the k axis by 2*zeta.
     The opposite sandwich q * t * conj(q) is obtained by passing conj(q).
     """
-    if not q.is_unit():
+    if not (abs(q.norm() - 1.0) <= EPS_UNIT):
         raise NotUnit(f"rotor norm {q.norm():.12g} is not 1")
+    # conj(q) t q has norm |q|^2, which may sit up to 2*EPS_UNIT off 1
     r = q.conjugate() * t.as_quaternion() * q
-    return PureUnitQuaternion.from_quaternion(r, tol=1e-6)
+    return PureUnitQuaternion.from_quaternion(r * (1.0 / q.norm_squared()))
 
 
 def phase_family_state(a: float, b: float, c: float, d: float,

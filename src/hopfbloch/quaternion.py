@@ -69,11 +69,7 @@ class Quaternion:
                               self.y * other, self.z * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def conjugate(self) -> "Quaternion":
         """Sign-flip of the i, j, k parts."""
@@ -96,9 +92,6 @@ class Quaternion:
         if n2 <= EPS_ZERO * EPS_ZERO:
             raise ZeroNorm(f"cannot invert quaternion with norm {math.sqrt(n2):.3e}")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def is_unit(self) -> bool:
-        return abs(self.norm() - 1.0) <= EPS_UNIT
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -140,19 +133,18 @@ class PureUnitQuaternion:
         return cls(s * math.cos(xi), s * math.sin(xi), math.cos(chi))
 
     @classmethod
-    def from_components(cls, tx: float, ty: float, tz: float,
-                        tol: float = EPS_UNIT) -> "PureUnitQuaternion":
+    def from_components(cls, tx: float, ty: float,
+                        tz: float) -> "PureUnitQuaternion":
         n = math.sqrt(tx * tx + ty * ty + tz * tz)
-        if not (abs(n - 1.0) <= tol):
+        if not (abs(n - 1.0) <= EPS_UNIT):
             raise NotPureUnit(f"components have norm {n:.12g}, expected 1")
         return cls(tx / n, ty / n, tz / n)
 
     @classmethod
-    def from_quaternion(cls, q: Quaternion,
-                        tol: float = EPS_UNIT) -> "PureUnitQuaternion":
-        if abs(q.w) > tol:
+    def from_quaternion(cls, q: Quaternion) -> "PureUnitQuaternion":
+        if abs(q.w) > EPS_UNIT:
             raise NotPureUnit(f"real part {q.w:.3e} is not zero")
-        return cls.from_components(q.x, q.y, q.z, tol=tol)
+        return cls.from_components(q.x, q.y, q.z)
 
     @property
     def chi(self) -> float:

@@ -163,14 +163,11 @@ def quasi_density(qs: QuasiState) -> QuasiDensity:
 def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:
     """2x2 complex reduced density matrix of the kept qubit."""
     a, b, c, d = s.amplitudes()
-    if keep is Basis.A:
-        off = a * c.conjugate() + b * d.conjugate()
-        return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
-                         [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
-                        dtype=complex)
-    off = a * b.conjugate() + c * d.conjugate()
-    return np.array([[abs(a) ** 2 + abs(c) ** 2, off],
-                     [off.conjugate(), abs(b) ** 2 + abs(d) ** 2]],
+    if keep is Basis.B:
+        b, c = c, b  # |0>_B holds alpha, gamma and |1>_B beta, delta
+    off = a * c.conjugate() + b * d.conjugate()
+    return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
+                     [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
                     dtype=complex)
 
 

@@ -271,7 +271,16 @@ def test_traj_with_south_pole_samples(capsys):
     (["check", "--count", "20"], {"HOPFBLOCH_SEED": "abc"}),
     (["check", "--count", "-1"], {}),
     (["check", "--count", "0"], {}),
-], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count"])
+    (["check", "--seed", "-1", "--count", "3"], {}),
+    (["check", "--count", "3"], {"HOPFBLOCH_SEED": "-5"}),
+    (["traj", "cu", "--axis", "0,1", "--bell", "00"], {}),
+    (["amplitudes", "--angles", "0,0,0"], {}),
+    (["amplitudes", "--angles", "x,0,0,0,0,0,0"], {}),
+    (["coords", "--state", "1,0;0;0,0;0,0"], {}),
+    (["coords", "--state", "1,0;0,y;0,0;0,0"], {}),
+], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
+        "negative-seed", "negative-seed-env", "short-axis", "short-angles",
+        "bad-angle", "short-amplitude", "bad-amplitude"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():
@@ -279,6 +288,14 @@ def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     code, out = run(capsys, argv)
     assert code == 2
     assert json.loads(out)["error"] == "parse"
+
+
+@pytest.mark.parametrize("flag, value", [("--omega", "inf"), ("--eta", "nan")])
+def test_traj_non_finite_endpoint_is_out_of_range(capsys, flag, value):
+    code, out = run(capsys, ["traj", "cu", "--axis", "0,0,1", flag, value,
+                             "--bell", "00"])
+    assert code == 3
+    assert json.loads(out)["error"] == "out_of_range"
 
 
 def test_check_south_pole_state_is_an_error(capsys):
@@ -324,19 +341,24 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 GOLDENS = BENCHMARKS / "goldens"
 
 
-def _golden_commands():
-    """(name, argv) of the benchmark's golden CLI commands, read from
-    benchmarks/run.py without importing it (importing sets process env)."""
+def _benchmark_commands():
+    """(name, argv, env, kind) of every benchmark CLI command, kind being
+    "golden" or "error", read from benchmarks/run.py without importing it
+    (importing sets process env)."""
     tree = ast.parse((BENCHMARKS / "run.py").read_text())
     for node in tree.body:
         target = node.targets[0] if isinstance(node, ast.Assign) else None
         if isinstance(target, ast.Name) and target.id == "CLI_COMMANDS":
             commands = ast.literal_eval(node.value)
-            return [(c[0], c[1]) for c in commands if c[3] == "golden"]
+            return [(c[0], c[1], c[2], c[3]) for c in commands]
     raise LookupError("CLI_COMMANDS not found in benchmarks/run.py")
 
 
-GOLDEN_COMMANDS = _golden_commands()
+BENCHMARK_COMMANDS = _benchmark_commands()
+GOLDEN_COMMANDS = [(name, argv) for name, argv, _, kind in BENCHMARK_COMMANDS
+                   if kind == "golden"]
+ERROR_COMMANDS = [(name, argv, env) for name, argv, env, kind
+                  in BENCHMARK_COMMANDS if kind == "error"]
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_COMMANDS,
@@ -347,3 +369,15 @@ def test_cli_output_matches_benchmark_goldens(capsys, monkeypatch, name, argv):
     code, out = run(capsys, argv)
     assert code == want_codes[name]
     assert out.encode() == (GOLDENS / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, env", ERROR_COMMANDS,
+                         ids=[name for name, _, _ in ERROR_COMMANDS])
+def test_benchmark_error_commands_emit_json_errors(capsys, monkeypatch, name,
+                                                   argv, env):
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out = run(capsys, argv)
+    assert code in (2, 3, 4)
+    assert isinstance(json.loads(out)["error"], str)

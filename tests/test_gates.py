@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hopfbloch import (
     CoordFlag,
     GateKind,
     GateSpec,
+    OutOfRange,
+    SouthPoleA,
     Stage,
     TwoQubitState,
     apply,
@@ -18,9 +22,11 @@ from hopfbloch import (
     phase_aligned_distance,
     trajectory,
 )
+from hopfbloch.bloch import alternate, coords_distance, south_pole_coords
+from hopfbloch.gates import Trajectory, TrajectorySample
 from hopfbloch.quaternion import angle_distance
 
-from helpers import SQ2, random_states
+from helpers import SQ2, random_product_states, random_states
 
 PI = math.pi
 
@@ -240,3 +246,86 @@ def test_closed_form_block_matches_dense_oracle():
                                   0.0 if phase else omega * smp.s)
                 assert np.max(np.abs(smp.state.vector
                                      - want @ states[0].vector)) <= 1e-12
+
+
+@pytest.mark.parametrize("eta, omega", [
+    (math.inf, PI), (math.nan, PI), (PI / 2, math.inf), (PI / 2, math.nan),
+], ids=["eta-inf", "eta-nan", "omega-inf", "omega-nan"])
+def test_non_finite_endpoints_rejected(eta, omega):
+    with pytest.raises(OutOfRange):
+        apply(GateSpec.controlled_u((0, 0, 1), omega, eta), bell_state("00"))
+
+
+def reference_trajectory(g, s, n1=32, n2=32):
+    """Reference for ``trajectory``: the sampling loop with each branch_flip
+    case spelled out (first sample, south-pole sample, regular sample)."""
+    if n1 < 2 or n2 < 2:
+        raise ValueError("n1 and n2 must be at least 2")
+    schedule = [(Stage.PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
+                for i in range(n1)]
+    schedule += [(Stage.ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
+                 for i in range(n2)]
+
+    samples = []
+    prev_coords = None
+    prev_alt = False
+    for stage, frac, eta, omega in schedule:
+        state = apply(replace(g, eta=eta, omega=omega), s)
+        try:
+            canon = extract(state)
+        except SouthPoleA as exc:
+            coords = south_pole_coords(exc)
+            flip = prev_alt
+            prev_alt = False
+        else:
+            twin = alternate(canon)
+            use_alt = False
+            if prev_coords is not None and twin is not canon:
+                use_alt = (coords_distance(twin, prev_coords)
+                           < coords_distance(canon, prev_coords))
+            coords = twin if use_alt else canon
+            flip = prev_coords is not None and use_alt != prev_alt
+            prev_alt = use_alt
+        samples.append(TrajectorySample(stage, frac, state, coords, flip))
+        prev_coords = coords
+
+    return Trajectory(g, tuple(samples), samples[-1].state)
+
+
+def test_trajectory_matches_reference_loop():
+    rng = np.random.default_rng(54)
+    states = [bell_state(code) for code in ("00", "01", "10", "11")]
+    states += [TwoQubitState(*e) for e in np.eye(4, dtype=complex)]
+    states += random_product_states(rng, 3) + random_states(rng, 3)
+    states += [
+        TwoQubitState(0, 0, 0.6, 0.8),  # on the south pole at every sample
+        # SWAP carries this one onto the south pole from the (-b, -t) twin
+        TwoQubitState(0, math.cos(0.8) * cmath.exp(6j), 0,
+                      math.sin(0.8) * cmath.exp(0.9j)),
+    ]
+    gates = [GateSpec.cnot(), GateSpec.cz(), GateSpec.swap(),
+             GateSpec.controlled_u((0, 0, 1), 0.0, 1.5 * PI)]
+    for _ in range(3):
+        axis = rng.normal(size=3)
+        eta, omega = rng.uniform(-2 * PI, 2 * PI, size=2)
+        gates.append(GateSpec.controlled_u(axis / np.linalg.norm(axis),
+                                           omega, eta))
+    flips = south_pole_flips = 0
+    for g in gates:
+        for s in states:
+            got = trajectory(g, s, 12, 12)
+            want = reference_trajectory(g, s, 12, 12)
+            assert len(got.samples) == len(want.samples)
+            for a, b in zip(got.samples, want.samples):
+                assert a.state == b.state
+                assert a.coords == b.coords
+                assert a.coords.flags == b.coords.flags
+                assert a.branch_flip == b.branch_flip
+                flips += a.branch_flip
+                south_pole_flips += (a.branch_flip and CoordFlag.SOUTH_POLE_A
+                                     in a.coords.flags)
+            assert got.final_state == want.final_state
+    # every case of the flip rule ran: flips onto and off the twin, and a
+    # flip back to the canonical branch on a south-pole sample
+    assert flips > 0
+    assert south_pole_flips > 0
