@@ -21,16 +21,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import OutOfRange, SouthPoleA
-from .hopf import CoordFlag, S4Point, angles_from_base, base_from_angles
-from .quaternion import (
-    TWO_PI,
-    PureUnitQuaternion,
-    angle_distance,
-    exp_pure,
-    to_complex_pair,
-    wrap_angle,
-)
-from .state import TwoQubitState, quasi_state
+from .hopf import CoordFlag, S4Point, _base_angles, base_from_angles
+from .quaternion import TWO_PI, PureUnitQuaternion, angle_distance, wrap_angle
+from .state import TwoQubitState
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
 
 
@@ -87,50 +80,48 @@ class BlochCoordinates:
                 math.cos(self.theta_b))
 
 
-def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, set]:
+def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, tuple]:
     """(theta_b, phi_b, zeta_b, flags) from the complex split of q_B."""
     au, av = abs(u), abs(v)
     theta_b = 2.0 * math.atan2(av, au)
-    flags = set()
     if au <= EPS_ZERO:
         # theta_b ~ pi: phi_b and zeta_b are interchangeable; pin zeta_b = 0
-        zeta_b = 0.0
-        phi_b = wrap_angle(cmath.phase(v))
-        flags.add(CoordFlag.THETA_B_PI_AMBIGUOUS)
-    elif av <= EPS_ZERO:
-        zeta_b = wrap_angle(cmath.phase(u))
-        phi_b = 0.0
-        flags.add(CoordFlag.PHI_B_UNDEFINED)
-    else:
-        zeta_b = wrap_angle(cmath.phase(u))
-        phi_b = wrap_angle(cmath.phase(v) + zeta_b)
-    return theta_b, phi_b, zeta_b, flags
+        return (theta_b, wrap_angle(cmath.phase(v)), 0.0,
+                (CoordFlag.THETA_B_PI_AMBIGUOUS,))
+    zeta_b = wrap_angle(cmath.phase(u))
+    if av <= EPS_ZERO:
+        return theta_b, 0.0, zeta_b, (CoordFlag.PHI_B_UNDEFINED,)
+    return theta_b, wrap_angle(cmath.phase(v) + zeta_b), zeta_b, ()
 
 
 def south_pole_coords(exc: SouthPoleA) -> BlochCoordinates:
     """Conventional coordinates for a |1>_A (x) |psi_B> state."""
     u, v = exc.psi_b
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
-    flags = {CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
-             CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED}
-    flags.update(fiber_flags)
+    flags = (CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
+             CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED) + fiber_flags
     return BlochCoordinates(math.pi, 0.0, 0.0, 0.0, theta_b, phi_b, zeta_b,
                             frozenset(flags))
 
 
-def _base_point(s: TwoQubitState) -> S4Point:
+def _base_coords(a: complex, b: complex, g: complex,
+                 d: complex) -> tuple[float, float, float, float, float]:
     """The five base coordinates from the amplitude bilinears.
 
     Raises SouthPoleA for |1>_A (x) |psi_B>, where 1 + x0 vanishes.
     """
-    a, b, g, d = s.amplitudes()
     x0 = abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2
     if 1.0 + x0 <= EPS_DEGENERATE:
         n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
         raise SouthPoleA((g / n, d / n))
     col = 2.0 * (a.conjugate() * g + b.conjugate() * d)
     det2 = 2.0 * (a * d - b * g)
-    return S4Point(x0, col.real, -det2.imag, det2.real, col.imag)
+    return x0, col.real, -det2.imag, det2.real, col.imag
+
+
+def _base_point(s: TwoQubitState) -> S4Point:
+    """The S^4 base point of a state; raises SouthPoleA like ``extract``."""
+    return S4Point(*_base_coords(s.alpha, s.beta, s.gamma, s.delta))
 
 
 def extract(s: TwoQubitState) -> BlochCoordinates:
@@ -139,23 +130,31 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     Raises SouthPoleA (carrying the normalized qubit-B amplitudes) for
     states of the form |1>_A (x) |psi_B>, where the model is undefined.
     """
-    p = _base_point(s)
-    base = angles_from_base(p)
-    flags = set(base.flags)
+    a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
+    x0, x1, x2, x3, x4 = _base_coords(a, b, g, d)
+    theta_a, phi_a, chi, xi, flags = _base_angles(x0, x1, x2, x3, x4)
 
-    # fiber: q_B = cos(theta_a/2) q0 + sin(theta_a/2) exp(-t phi_a) q1
+    # fiber: q_B = cos(theta_a/2) q0 + sin(theta_a/2) exp(-t phi_a) q1 with
+    # q0 = alpha + beta*j, q1 = gamma + delta*j, split as q_B = u + v*j.
+    # Every product and sum is the one of the Quaternion route (exp_pure,
+    # Quaternion.__mul__ and __add__, to_complex_pair), operands in the same
+    # order, which keeps the results bit-identical to it.
     # (x0 can land one ulp outside [-1, 1])
-    ch = math.sqrt(max(0.0, 0.5 * (1.0 + p.x0)))
-    sh = math.sqrt(max(0.0, 0.5 * (1.0 - p.x0)))
-    t = PureUnitQuaternion.from_angles(base.chi, base.xi)
-    qs = quasi_state(s)
-    q_b = ch * qs.q0 + sh * (exp_pure(t, -base.phi) * qs.q1)
-    u, v = to_complex_pair(q_b)
+    ch = math.sqrt(max(0.0, 0.5 * (1.0 + x0)))
+    sh = math.sqrt(max(0.0, 0.5 * (1.0 - x0)))
+    sc = math.sin(chi)
+    tx, ty, tz = sc * math.cos(xi), sc * math.sin(xi), math.cos(chi)
+    ew, sn = math.cos(-phi_a), math.sin(-phi_a)
+    ex, ey, ez = sn * tx, sn * ty, sn * tz  # exp(-t phi_a) = ew + (ex, ey, ez)
+    qw, qx, qy, qz = g.real, -d.imag, d.real, g.imag  # q1
+    u = complex(ch * a.real + sh * (ew * qw - ex * qx - ey * qy - ez * qz),
+                ch * a.imag + sh * (ew * qz + ex * qy - ey * qx + ez * qw))
+    v = complex(ch * b.real + sh * (ew * qy - ex * qz + ey * qw + ez * qx),
+                -(ch * -b.imag + sh * (ew * qx + ex * qw + ey * qz - ez * qy)))
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
-    flags.update(fiber_flags)
 
-    return BlochCoordinates(base.theta, base.phi, base.chi, base.xi,
-                            theta_b, phi_b, zeta_b, frozenset(flags))
+    return BlochCoordinates(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b,
+                            frozenset(flags + fiber_flags))
 
 
 def _check_range(name: str, value: float, closed_pi: bool) -> float:
@@ -210,17 +209,27 @@ def normalize_global_phase(c: BlochCoordinates) -> BlochCoordinates:
     return replace(c, xi=xi, phi_b=phi_b, zeta_b=0.0)
 
 
-def _flip_branch(c: BlochCoordinates) -> BlochCoordinates:
-    """(b, t) -> (-b, -t): phi_a reflects, t passes to its antipode."""
+def _flipped_angles(c: BlochCoordinates) -> tuple[float, float, float]:
+    """(phi_a, chi, xi) after (b, t) -> (-b, -t): phi_a reflects, t passes
+    to its antipode."""
     xi = c.xi if CoordFlag.XI_UNDEFINED in c.flags else wrap_angle(c.xi + math.pi)
-    return replace(c, phi_a=wrap_angle(-c.phi_a), chi=math.pi - c.chi, xi=xi)
+    return wrap_angle(-c.phi_a), math.pi - c.chi, xi
+
+
+def _flip_branch(c: BlochCoordinates) -> BlochCoordinates:
+    phi_a, chi, xi = _flipped_angles(c)
+    return BlochCoordinates(c.theta_a, phi_a, chi, xi, c.theta_b, c.phi_b,
+                            c.zeta_b, c.flags)
+
+
+def _has_twin(c: BlochCoordinates) -> bool:
+    """False when b ~ 0, where (-b, -t) names no other point."""
+    return not (CoordFlag.T_UNDEFINED in c.flags or abs(c.b) <= EPS_ZERO)
 
 
 def alternate(c: BlochCoordinates) -> BlochCoordinates:
     """The (-b, -t) twin of the same state, or c itself when b ~ 0."""
-    if CoordFlag.T_UNDEFINED in c.flags or abs(c.b) <= EPS_ZERO:
-        return c
-    return _flip_branch(c)
+    return _flip_branch(c) if _has_twin(c) else c
 
 
 def canonicalize(c: BlochCoordinates) -> BlochCoordinates:
@@ -234,3 +243,28 @@ def coords_distance(c1: BlochCoordinates, c2: BlochCoordinates) -> float:
     """Wrap-aware sum of the seven angle distances."""
     return sum(angle_distance(a1, a2)
                for a1, a2 in zip(c1.angles(), c2.angles()))
+
+
+def _nearer_branch(c: BlochCoordinates,
+                   prev: BlochCoordinates) -> BlochCoordinates:
+    """alternate(c) when it is coords_distance-closer to prev than c is,
+    else c; the twin is built only when it is chosen.
+
+    The twin shares theta_a, theta_b, phi_b and zeta_b with c, so those four
+    distances are taken once.  Both sums keep coords_distance's
+    left-to-right order, so ties resolve as they do through it.
+    """
+    if not _has_twin(c):
+        return c
+    phi_a, chi, xi = _flipped_angles(c)
+    d_theta_a = angle_distance(c.theta_a, prev.theta_a)
+    d_theta_b = angle_distance(c.theta_b, prev.theta_b)
+    d_phi_b = angle_distance(c.phi_b, prev.phi_b)
+    d_zeta_b = angle_distance(c.zeta_b, prev.zeta_b)
+    twin = (d_theta_a + angle_distance(phi_a, prev.phi_a)
+            + angle_distance(chi, prev.chi) + angle_distance(xi, prev.xi)
+            + d_theta_b + d_phi_b + d_zeta_b)
+    canon = (d_theta_a + angle_distance(c.phi_a, prev.phi_a)
+             + angle_distance(c.chi, prev.chi) + angle_distance(c.xi, prev.xi)
+             + d_theta_b + d_phi_b + d_zeta_b)
+    return _flip_branch(c) if twin < canon else c

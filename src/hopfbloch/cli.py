@@ -54,6 +54,14 @@ class ParseError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse would print usage and exit 2, so
+    bad arguments reach main's error table like every other parse error."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _round12(v: float) -> float:
     return float(f"{v:.12g}")
 
@@ -265,8 +273,10 @@ def cmd_check(args) -> int:
                              f"got {seed_env!r}") from None
     if seed < 0:
         raise ParseError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
     tol = args.tolerance
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParseError(f"--tolerance must be finite and positive, got {tol!r}")
+    rng = np.random.default_rng(seed)
 
     if args.state is not None or args.bell is not None:
         states = [_parse_state(args)[0]]
@@ -342,7 +352,7 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfbloch",
         description="Convert two-qubit pure states to three-sphere Bloch "
                     "coordinates and back, and sample gate trajectories.")
@@ -407,13 +417,12 @@ _ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # only --help exits: argparse printed the help text
+        return exc.code if isinstance(exc.code, int) else 2
     except SouthPoleA as exc:
         _emit(_south_pole_payload(exc))
         return 3

@@ -19,8 +19,7 @@ import numpy as np
 
 from .bloch import (
     BlochCoordinates,
-    alternate,
-    coords_distance,
+    _nearer_branch,
     extract,
     south_pole_coords,
 )
@@ -101,12 +100,13 @@ class Trajectory:
     final_state: TwoQubitState
 
 
-def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
-    """e^(k*eta) (cos(omega/2) - k sin(omega/2) n.sigma) on g's active pair."""
+def _apply(g: GateSpec, eta: float, omega: float,
+           s: TwoQubitState) -> TwoQubitState:
+    """g's gate swept to (eta, omega), on g's active pair of s."""
     nx, ny, nz = g.axis
-    c = math.cos(0.5 * g.omega)
-    sn = math.sin(0.5 * g.omega)
-    ph = cmath.exp(1j * g.eta)
+    c = math.cos(0.5 * omega)
+    sn = math.sin(0.5 * omega)
+    ph = cmath.exp(1j * eta)
     # the phase goes into each entry before the products: the CLI goldens
     # hold that rounding
     m00 = ph * complex(c, -sn * nz)
@@ -117,6 +117,11 @@ def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
     i, j = g.block_indices
     v[i], v[j] = m00 * v[i] + m01 * v[j], m10 * v[i] + m11 * v[j]
     return TwoQubitState(*v)
+
+
+def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
+    """e^(k*eta) (cos(omega/2) - k sin(omega/2) n.sigma) on g's active pair."""
+    return _apply(g, g.eta, g.omega, s)
 
 
 def gate_matrix(g: GateSpec, eta: float, omega: float) -> np.ndarray:
@@ -144,24 +149,24 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
                  for i in range(n2)]
 
     samples = []
-    prev_coords = None
+    prev = None
     prev_alt = False
     for stage, frac, eta, omega in schedule:
-        state = apply(replace(g, eta=eta, omega=omega), s)
-        use_alt = False
+        # g was validated when built, and every (eta, omega) here lies
+        # between 0 and its finite endpoints
+        state = _apply(g, eta, omega, s)
         try:
             canon = extract(state)
         except SouthPoleA as exc:
             coords = south_pole_coords(exc)
+            use_alt = False
         else:
-            twin = alternate(canon)
-            if prev_coords is not None and twin is not canon:
-                use_alt = (coords_distance(twin, prev_coords)
-                           < coords_distance(canon, prev_coords))
-            coords = twin if use_alt else canon
+            coords = canon if prev is None else _nearer_branch(canon, prev)
+            use_alt = coords is not canon
         samples.append(TrajectorySample(stage, frac, state, coords,
                                         use_alt != prev_alt))
-        prev_coords = coords
+        prev = coords
         prev_alt = use_alt
 
     return Trajectory(g, tuple(samples), samples[-1].state)
+

@@ -30,6 +30,21 @@ class CoordFlag(Enum):
     THETA_B_PI_AMBIGUOUS = "theta_b_pi_ambiguous"  # zeta_B pinned to 0
 
 
+def _norm_squared(x0: float, x1: float, x2: float, x3: float, x4: float) -> float:
+    return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
+
+
+def _validate(x0: float, x1: float, x2: float, x3: float, x4: float) -> None:
+    err = abs(_norm_squared(x0, x1, x2, x3, x4) - 1.0)
+    if err > EPS_UNIT:
+        raise OffSphere(f"coordinates off the unit 4-sphere by {err:.3e}")
+
+
+def _block_norm(x2: float, x3: float, x4: float) -> float:
+    """b, the magnitude of the (x2, x3, x4) block."""
+    return math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
+
+
 @dataclass(frozen=True, slots=True)
 class S4Point:
     """Cartesian point on the unit 4-sphere embedded in R^5.
@@ -47,20 +62,17 @@ class S4Point:
 
     @property
     def b(self) -> float:
-        return math.sqrt(self.x2 * self.x2 + self.x3 * self.x3 + self.x4 * self.x4)
+        return _block_norm(self.x2, self.x3, self.x4)
 
     @property
     def c(self) -> float:
         return math.hypot(self.x2, self.x3)
 
     def norm_squared(self) -> float:
-        return (self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2
-                + self.x3 * self.x3 + self.x4 * self.x4)
+        return _norm_squared(self.x0, self.x1, self.x2, self.x3, self.x4)
 
     def validate(self) -> None:
-        err = abs(self.norm_squared() - 1.0)
-        if err > EPS_UNIT:
-            raise OffSphere(f"coordinates off the unit 4-sphere by {err:.3e}")
+        _validate(self.x0, self.x1, self.x2, self.x3, self.x4)
 
 
 NORTH_POLE = S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
@@ -129,31 +141,31 @@ def angles_from_base(p: S4Point) -> BaseAngles:
     b ~ 0; xi := 0 when c ~ 0 with b != 0 (t at a pole of its own sphere).
     Raises OffSphere for points off the unit 4-sphere.
     """
-    p.validate()
-    flags = set()
+    theta, phi, chi, xi, flags = _base_angles(p.x0, p.x1, p.x2, p.x3, p.x4)
+    return BaseAngles(theta, phi, chi, xi, frozenset(flags))
 
-    b = p.b
-    st = math.hypot(p.x1, b)
-    theta = math.atan2(st, p.x0)
+
+def _base_angles(x0: float, x1: float, x2: float, x3: float,
+                 x4: float) -> tuple[float, float, float, float, tuple]:
+    """``angles_from_base`` on bare floats: (theta, phi, chi, xi, flags)."""
+    _validate(x0, x1, x2, x3, x4)
+    flags = ()
+
+    b = _block_norm(x2, x3, x4)
+    st = math.hypot(x1, b)
+    theta = math.atan2(st, x0)
 
     if st <= EPS_ZERO:
         phi = 0.0
-        flags.add(CoordFlag.PHI_A_UNDEFINED)
+        flags = (CoordFlag.PHI_A_UNDEFINED,)
     else:
-        phi = math.atan2(b, p.x1)  # b >= 0 keeps phi in [0, pi]
+        phi = math.atan2(b, x1)  # b >= 0 keeps phi in [0, pi]
 
     if b <= EPS_ZERO:
-        chi = 0.0
-        xi = 0.0
-        flags.add(CoordFlag.T_UNDEFINED)
-        flags.add(CoordFlag.XI_UNDEFINED)
-    else:
-        c = p.c
-        chi = math.atan2(c, p.x4)
-        if c <= EPS_ZERO:
-            xi = 0.0
-            flags.add(CoordFlag.XI_UNDEFINED)
-        else:
-            xi = wrap_angle(math.atan2(p.x3, p.x2))
-
-    return BaseAngles(theta, phi, chi, xi, frozenset(flags))
+        return (theta, phi, 0.0, 0.0,
+                flags + (CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED))
+    c = math.hypot(x2, x3)
+    chi = math.atan2(c, x4)
+    if c <= EPS_ZERO:
+        return theta, phi, chi, 0.0, flags + (CoordFlag.XI_UNDEFINED,)
+    return theta, phi, chi, wrap_angle(math.atan2(x3, x2)), flags

@@ -19,6 +19,8 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_angle(a: float) -> float:
     """Map an angle into [0, 2*pi).  Values within one ulp of 2*pi wrap to 0."""
+    if 0.0 <= a < TWO_PI:
+        return a  # fmod is the identity here, -0.0 included
     a = math.fmod(a, TWO_PI)
     if a < 0.0:
         a += TWO_PI

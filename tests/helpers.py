@@ -3,8 +3,20 @@
 import math
 
 import numpy as np
+import pytest
 
-from hopfbloch import Basis, Quaternion, TwoQubitState
+from hopfbloch import (
+    Basis,
+    BlochCoordinates,
+    Quaternion,
+    SouthPoleA,
+    TwoQubitState,
+    angles_from_base,
+    extract,
+    quasi_state,
+)
+from hopfbloch.bloch import _base_point, _fiber_angles
+from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
 
 
 def random_states(rng, count):
@@ -65,6 +77,42 @@ def quaternion_close(p: Quaternion, q: Quaternion, tol=1e-12) -> bool:
 def embed_complex(z: complex) -> Quaternion:
     """A complex number as a quaternion along the k axis."""
     return Quaternion(z.real, 0.0, 0.0, z.imag)
+
+
+def reference_extract(s: TwoQubitState) -> BlochCoordinates:
+    """``extract`` along the Quaternion route: the base point and its angles,
+    the quasi-state pair, exp_pure, the Hamilton product and the complex
+    split of q_B.  ``extract`` runs the same float operations without the
+    objects, so the two agree bit for bit."""
+    p = _base_point(s)
+    base = angles_from_base(p)
+    flags = set(base.flags)
+    ch = math.sqrt(max(0.0, 0.5 * (1.0 + p.x0)))
+    sh = math.sqrt(max(0.0, 0.5 * (1.0 - p.x0)))
+    t = PureUnitQuaternion.from_angles(base.chi, base.xi)
+    qs = quasi_state(s)
+    q_b = ch * qs.q0 + sh * (exp_pure(t, -base.phi) * qs.q1)
+    u, v = to_complex_pair(q_b)
+    theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
+    flags.update(fiber_flags)
+    return BlochCoordinates(base.theta, base.phi, base.chi, base.xi,
+                            theta_b, phi_b, zeta_b, frozenset(flags))
+
+
+def assert_extract_matches_reference(s: TwoQubitState):
+    """extract(s) == reference_extract(s) exactly, angles and flags, or both
+    raise SouthPoleA with equal psi_b.  Returns the coordinates or None."""
+    try:
+        want = reference_extract(s)
+    except SouthPoleA as exc:
+        with pytest.raises(SouthPoleA) as got:
+            extract(s)
+        assert got.value.psi_b == exc.psi_b
+        return None
+    got = extract(s)
+    assert got.angles() == want.angles()
+    assert got.flags == want.flags
+    return got
 
 
 SQ2 = math.sqrt(0.5)

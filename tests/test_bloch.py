@@ -23,6 +23,7 @@ from hopfbloch import (
     quasi_state,
     reconstruct,
 )
+from hopfbloch.bloch import _nearer_branch
 from hopfbloch.paper import fiber_quaternion, shortcut_base
 from hopfbloch.quaternion import (
     PureUnitQuaternion,
@@ -33,7 +34,13 @@ from hopfbloch.quaternion import (
     to_complex_pair,
 )
 
-from helpers import SQ2, quaternion_close, random_product_states, random_states
+from helpers import (
+    SQ2,
+    assert_extract_matches_reference,
+    quaternion_close,
+    random_product_states,
+    random_states,
+)
 
 PI = math.pi
 
@@ -388,3 +395,51 @@ def test_reconstruct_matches_quaternion_product_route():
         got = reconstruct(c)
         want = np.array([alpha, beta, gamma, delta])
         assert np.max(np.abs(got.vector - want)) <= 1e-12
+
+
+def test_extract_matches_quaternion_route_exactly():
+    rng = np.random.default_rng(45)
+    states = random_states(rng, 500) + random_product_states(rng, 200)
+    states += [bell_state(code) for code in ("00", "01", "10", "11")]
+    states += [TwoQubitState(*e) for e in np.eye(4, dtype=complex)]
+    south_pole = 0
+    for s in states:
+        c = assert_extract_matches_reference(s)
+        if c is None:
+            south_pole += 1
+            continue
+        # q_B from the fiber angles: u = cos(theta_b/2) e^(k zeta_b),
+        # v = sin(theta_b/2) e^(k (phi_b - zeta_b))
+        u = math.cos(c.theta_b / 2) * cmath.exp(1j * c.zeta_b)
+        v = math.sin(c.theta_b / 2) * cmath.exp(1j * (c.phi_b - c.zeta_b))
+        assert quaternion_close(fiber_quaternion(s), from_complex_pair(u, v),
+                                tol=1e-12)
+    assert south_pole == 2  # |10> and |11>
+
+
+def test_nearer_branch_follows_coords_distance_rule():
+    # the rule trajectory applies: the twin only when strictly closer
+    def rule(c, prev):
+        twin = alternate(c)
+        if twin is not c and coords_distance(twin, prev) < coords_distance(c, prev):
+            return twin
+        return c
+
+    rng = np.random.default_rng(46)
+    xi_flag = frozenset({CoordFlag.XI_UNDEFINED})
+    pairs = []
+    for k in range(1, 200):
+        # chi = pi/2 and a flagged xi leave phi_a as the only difference;
+        # against prev.phi_a = 0 many of these tie exactly
+        c = BlochCoordinates(1.0, k * PI / 200, PI / 2, 0.0, 0.5, 0.3, 0.2, xi_flag)
+        pairs.append((c, BlochCoordinates(1.0, 0.0, PI / 2, 0.0, 0.5, 0.3, 0.2,
+                                          xi_flag)))
+    for _ in range(300):
+        c, prev = (BlochCoordinates(*rng.uniform(0, PI, 7)) for _ in range(2))
+        pairs += [(c, prev), (c, alternate(c)), (c, c)]
+    ties = 0
+    for c, prev in pairs:
+        got = _nearer_branch(c, prev)
+        assert got == rule(c, prev)
+        ties += coords_distance(alternate(c), prev) == coords_distance(c, prev)
+    assert ties > 0

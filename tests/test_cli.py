@@ -278,9 +278,21 @@ def test_traj_with_south_pole_samples(capsys):
     (["amplitudes", "--angles", "x,0,0,0,0,0,0"], {}),
     (["coords", "--state", "1,0;0;0,0;0,0"], {}),
     (["coords", "--state", "1,0;0,y;0,0;0,0"], {}),
+    (["check", "--seed", "abc"], {}),
+    (["traj", "cz", "--bell", "00", "--n1", "x"], {}),
+    (["traj", "cz", "--bell", "00", "--format", "xml"], {}),
+    (["coords", "--bogus"], {}),
+    ([], {}),
+    (["check", "--count", "3", "--tolerance=nan"], {}),
+    (["check", "--count", "3", "--tolerance=-1"], {}),
+    (["check", "--count", "3", "--tolerance=0"], {}),
+    (["check", "--count", "3", "--tolerance=inf"], {}),
 ], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
         "negative-seed", "negative-seed-env", "short-axis", "short-angles",
-        "bad-angle", "short-amplitude", "bad-amplitude"])
+        "bad-angle", "short-amplitude", "bad-amplitude", "bad-seed",
+        "bad-n1", "bad-format", "unknown-option", "no-command",
+        "nan-tolerance", "negative-tolerance", "zero-tolerance",
+        "inf-tolerance"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():
@@ -288,6 +300,13 @@ def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     code, out = run(capsys, argv)
     assert code == 2
     assert json.loads(out)["error"] == "parse"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out.startswith("usage: hopfbloch")
 
 
 @pytest.mark.parametrize("flag, value", [("--omega", "inf"), ("--eta", "nan")])

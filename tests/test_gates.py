@@ -26,7 +26,12 @@ from hopfbloch.bloch import alternate, coords_distance, south_pole_coords
 from hopfbloch.gates import Trajectory, TrajectorySample
 from hopfbloch.quaternion import angle_distance
 
-from helpers import SQ2, random_product_states, random_states
+from helpers import (
+    SQ2,
+    assert_extract_matches_reference,
+    random_product_states,
+    random_states,
+)
 
 PI = math.pi
 
@@ -329,3 +334,36 @@ def test_trajectory_matches_reference_loop():
     # flip back to the canonical branch on a south-pole sample
     assert flips > 0
     assert south_pole_flips > 0
+
+
+def reference_loop_pool():
+    """The gates and states of test_trajectory_matches_reference_loop."""
+    rng = np.random.default_rng(54)
+    states = [bell_state(code) for code in ("00", "01", "10", "11")]
+    states += [TwoQubitState(*e) for e in np.eye(4, dtype=complex)]
+    states += random_product_states(rng, 3) + random_states(rng, 3)
+    states += [
+        TwoQubitState(0, 0, 0.6, 0.8),
+        TwoQubitState(0, math.cos(0.8) * cmath.exp(6j), 0,
+                      math.sin(0.8) * cmath.exp(0.9j)),
+    ]
+    gates = [GateSpec.cnot(), GateSpec.cz(), GateSpec.swap(),
+             GateSpec.controlled_u((0, 0, 1), 0.0, 1.5 * PI)]
+    for _ in range(3):
+        axis = rng.normal(size=3)
+        eta, omega = rng.uniform(-2 * PI, 2 * PI, size=2)
+        gates.append(GateSpec.controlled_u(axis / np.linalg.norm(axis),
+                                           omega, eta))
+    return gates, states
+
+
+def test_extract_matches_quaternion_route_on_trajectory_samples():
+    gates, states = reference_loop_pool()
+    samples = south_pole = 0
+    for g in gates:
+        for s in states:
+            for smp in trajectory(g, s, 12, 12).samples:
+                samples += 1
+                south_pole += assert_extract_matches_reference(smp.state) is None
+    assert samples == len(gates) * len(states) * 24
+    assert south_pole > 0

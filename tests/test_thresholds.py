@@ -1,0 +1,56 @@
+"""Property tests across the degeneracy thresholds.
+
+Each zone draws states whose b, c, sin(theta_a), |u| or |v| (q_B = u + v*j)
+lies within a few decades of EPS_ZERO, or whose 1 + x0 lies near
+EPS_DEGENERATE; the other angles are generic.  In every zone ``extract``
+must equal the Quaternion route bit for bit, so each flag fires on the same
+inputs, and every state off the south pole must round-trip.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfbloch import BlochCoordinates, phase_aligned_distance, reconstruct
+
+from helpers import assert_extract_matches_reference
+
+PI = math.pi
+
+# 1e-15 .. 1e-9: three decades either side of EPS_ZERO = 1e-12
+TINY = st.floats(-15.0, -9.0).map(lambda e: 10.0 ** e)
+NEAR_POLES = st.one_of(TINY, TINY.map(lambda d: PI - d))
+NEAR_AXIS = st.one_of(NEAR_POLES, TINY.map(lambda d: PI + d),
+                      TINY.map(lambda d: 2 * PI - d))
+# theta_a with 1 + x0 = 2 sin^2((pi - theta_a)/2) in 1e-11 .. 1e-7, two
+# decades either side of EPS_DEGENERATE = 1e-9
+SOUTH_BAND = st.floats(-11.0, -7.0).map(
+    lambda e: PI - 2.0 * math.asin(math.sqrt(0.5 * 10.0 ** e)))
+
+POLAR = st.floats(0.0, PI)
+AZIMUTH = st.floats(0.0, 2 * PI, exclude_max=True)
+GENERIC = {"theta_a": POLAR, "phi_a": AZIMUTH, "chi": POLAR, "xi": AZIMUTH,
+           "theta_b": POLAR, "phi_b": AZIMUTH, "zeta_b": AZIMUTH}
+
+ZONES = {
+    "b": {"phi_a": NEAR_AXIS},              # b = sin(theta_a) sin(phi_a)
+    "c": {"chi": NEAR_POLES},               # c = |b| sin(chi)
+    "sin_theta_a": {"theta_a": NEAR_POLES.filter(lambda t: t < 1.0)},
+    "u": {"theta_b": TINY.map(lambda d: PI - d)},  # |u| = cos(theta_b/2)
+    "v": {"theta_b": TINY},                        # |v| = sin(theta_b/2)
+    "one_plus_x0": {"theta_a": SOUTH_BAND},
+}
+
+
+@pytest.mark.parametrize("zone", sorted(ZONES))
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_extract_across_threshold(zone, data):
+    angles = {name: data.draw(ZONES[zone].get(name, generic), label=name)
+              for name, generic in GENERIC.items()}
+    s = reconstruct(BlochCoordinates(**angles))
+    c = assert_extract_matches_reference(s)
+    if c is not None:
+        assert phase_aligned_distance(s, reconstruct(c)) <= 1e-9
