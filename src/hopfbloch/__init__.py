@@ -8,7 +8,9 @@ the fibration maps (``h1``, ``inverse_stereographic``, ``base_from_angles``,
 ``reconstruct``, ``normalize_global_phase``, ``canonicalize``), and gate
 trajectories (``GateSpec``, ``gate_matrix``, ``apply``, ``trajectory``).
 The paper's alternative routes, kept as test oracles, live in
-``hopfbloch.paper`` and are not imported here.
+``hopfbloch.paper`` and are not imported here.  numpy is imported only
+inside the functions that build arrays, so importing the package,
+extracting, reconstructing and sampling trajectories do not load it.
 """
 
 from .bloch import (

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import svg
 from .bloch import (
     BlochCoordinates,
@@ -248,6 +246,7 @@ def cmd_traj(args) -> int:
 
 
 def _dense_reduced(vec: np.ndarray, keep: Basis) -> np.ndarray:
+    import numpy as np
     rho = np.outer(vec, vec.conj()).reshape(2, 2, 2, 2)
     if keep is Basis.A:
         return np.trace(rho, axis1=1, axis2=3)
@@ -255,6 +254,7 @@ def _dense_reduced(vec: np.ndarray, keep: Basis) -> np.ndarray:
 
 
 def _random_states(rng: np.random.Generator, count: int):
+    import numpy as np
     raw = rng.normal(size=(count, 8))
     for row in raw:
         vec = row[0::2] + 1j * row[1::2]
@@ -263,6 +263,7 @@ def _random_states(rng: np.random.Generator, count: int):
 
 
 def cmd_check(args) -> int:
+    import numpy as np
     seed = args.seed
     seed_env = os.environ.get("HOPFBLOCH_SEED")
     if seed_env is not None:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .bloch import (
     BlochCoordinates,
     _nearer_branch,
@@ -126,6 +124,7 @@ def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
 
 def gate_matrix(g: GateSpec, eta: float, omega: float) -> np.ndarray:
     """4x4 unitary of g swept to (eta, omega): column m is its apply on |m>."""
+    import numpy as np
     swept = replace(g, eta=eta, omega=omega)
     return np.array([apply(swept, TwoQubitState(*e)).amplitudes()
                      for e in np.eye(4, dtype=complex)]).T
@@ -143,6 +142,11 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("n1 and n2 must be at least 2")
+    # the largest products the schedule forms; finite endpoints can overflow
+    if not (math.isfinite(g.eta * (n1 - 1)) and math.isfinite(g.omega * (n2 - 1))):
+        raise OutOfRange(f"the sweep of eta = {g.eta!r} over n1 = {n1} or of "
+                         f"omega = {g.omega!r} over n2 = {n2} samples "
+                         "overflows a float")
     schedule = [(Stage.PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
                 for i in range(n1)]
     schedule += [(Stage.ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
@@ -152,8 +156,8 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
     prev = None
     prev_alt = False
     for stage, frac, eta, omega in schedule:
-        # g was validated when built, and every (eta, omega) here lies
-        # between 0 and its finite endpoints
+        # g was validated when built and its sweep checked above, so every
+        # (eta, omega) here is finite
         state = _apply(g, eta, omega, s)
         try:
             canon = extract(state)

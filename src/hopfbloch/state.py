@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import NotNormalized
 from .hopf import S4Point
 from .quaternion import Quaternion, from_complex_pair, wrap_angle
@@ -44,8 +42,11 @@ class TwoQubitState:
     delta: complex
 
     def __post_init__(self):
-        n2 = (abs(self.alpha) ** 2 + abs(self.beta) ** 2
-              + abs(self.gamma) ** 2 + abs(self.delta) ** 2)
+        try:
+            n2 = (abs(self.alpha) ** 2 + abs(self.beta) ** 2
+                  + abs(self.gamma) ** 2 + abs(self.delta) ** 2)
+        except OverflowError:
+            raise NotNormalized("amplitude norm overflows a float") from None
         n = math.sqrt(n2)
         # the comparison must fail non-finite norms too, hence the negation
         if not (abs(n - 1.0) <= NORM_INPUT_TOL):
@@ -63,6 +64,7 @@ class TwoQubitState:
 
     @property
     def vector(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.alpha, self.beta, self.gamma, self.delta],
                         dtype=complex)
 
@@ -162,6 +164,7 @@ def quasi_density(qs: QuasiState) -> QuasiDensity:
 
 def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:
     """2x2 complex reduced density matrix of the kept qubit."""
+    import numpy as np
     a, b, c, d = s.amplitudes()
     if keep is Basis.B:
         b, c = c, b  # |0>_B holds alpha, gamma and |1>_B beta, delta
@@ -190,6 +193,7 @@ def partial_trace_projection(p: S4Point) -> np.ndarray:
     concurrence shells of the sphere flatten into concentric shells of a
     ball of radius sqrt(1 - c^2).
     """
+    import numpy as np
     p.validate()
     off = complex(p.x1, -p.x4)
     return 0.5 * np.array([[1.0 + p.x0, off],

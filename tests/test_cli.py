@@ -1,6 +1,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -64,6 +67,13 @@ def test_coords_south_pole_error(capsys):
 
 def test_coords_not_normalized_error(capsys):
     code, out = run(capsys, ["coords", "--state", "1,0;1,0;0,0;0,0"])
+    assert code == 3
+    assert json.loads(out)["error"] == "not_normalized"
+
+
+def test_coords_overflowing_norm_is_not_normalized(capsys):
+    # finite amplitudes whose squared norm overflows a float
+    code, out = run(capsys, ["coords", "--state=1e308,0;1e308,0;0,0;0,0"])
     assert code == 3
     assert json.loads(out)["error"] == "not_normalized"
 
@@ -309,7 +319,8 @@ def test_help_exits_zero(capsys, argv):
     assert out.startswith("usage: hopfbloch")
 
 
-@pytest.mark.parametrize("flag, value", [("--omega", "inf"), ("--eta", "nan")])
+@pytest.mark.parametrize("flag, value", [("--omega", "inf"), ("--eta", "nan"),
+                                         ("--omega", "1e308"), ("--eta", "1e308")])
 def test_traj_non_finite_endpoint_is_out_of_range(capsys, flag, value):
     code, out = run(capsys, ["traj", "cu", "--axis", "0,0,1", flag, value,
                              "--bell", "00"])
@@ -400,3 +411,37 @@ def test_benchmark_error_commands_emit_json_errors(capsys, monkeypatch, name,
     code, out = run(capsys, argv)
     assert code in (2, 3, 4)
     assert isinstance(json.loads(out)["error"], str)
+
+
+# runs in a fresh interpreter, so nothing the test process imported counts
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+seen = []
+import hopfbloch
+seen.append(["import hopfbloch", 0, "numpy" in sys.modules])
+import hopfbloch.cli
+seen.append(["import hopfbloch.cli", 0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hopfbloch.cli.main(argv)
+    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_free_commands_never_import_numpy():
+    numpy_free = [argv for _, argv in GOLDEN_COMMANDS if argv[0] != "check"]
+    assert len(numpy_free) == 6
+    # the control: check's sweep needs numpy, so the probe must see it load
+    argvs = numpy_free + [["check", "--count", "3"]]
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
+    env.pop("HOPFBLOCH_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 2 + len(argvs)
+    *free, control = seen
+    for step, code, numpy_loaded in free:
+        assert (step, code, numpy_loaded) == (step, 0, False)
+    assert control == ["check --count 3", 0, True]

@@ -261,6 +261,19 @@ def test_non_finite_endpoints_rejected(eta, omega):
         apply(GateSpec.controlled_u((0, 0, 1), omega, eta), bell_state("00"))
 
 
+@pytest.mark.parametrize("eta, omega", [
+    (1e308, PI), (PI / 2, 1e308), (PI / 2, -1e308),
+], ids=["eta-1e308", "omega-1e308", "omega-minus-1e308"])
+def test_trajectory_sweep_overflow_is_out_of_range(eta, omega):
+    # the endpoints are finite, and so is the two-sample sweep, but
+    # endpoint * (n - 1) for n = 32 is not
+    g = GateSpec.controlled_u((0, 0, 1), omega, eta)
+    apply(g, bell_state("00"))
+    assert len(trajectory(g, bell_state("00"), 2, 2).samples) == 4
+    with pytest.raises(OutOfRange):
+        trajectory(g, bell_state("00"))
+
+
 def reference_trajectory(g, s, n1=32, n2=32):
     """Reference for ``trajectory``: the sampling loop with each branch_flip
     case spelled out (first sample, south-pole sample, regular sample)."""

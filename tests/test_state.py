@@ -243,3 +243,8 @@ def test_non_finite_amplitudes_rejected():
         TwoQubitState(float("nan"), 0, 0, 0)
     with pytest.raises(NotNormalized):
         TwoQubitState(complex(0, float("inf")), 0, 0, 0)
+    # finite amplitudes whose squared norm overflows
+    with pytest.raises(NotNormalized):
+        TwoQubitState(1e200, 1e200, 0, 0)
+    with pytest.raises(NotNormalized):
+        TwoQubitState(1e155j, 0, 0, 0)
