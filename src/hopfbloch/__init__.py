@@ -7,10 +7,10 @@ the fibration maps (``h1``, ``inverse_stereographic``, ``base_from_angles``,
 ``partial_trace_projection``), the seven-angle conversions (``extract``,
 ``reconstruct``, ``normalize_global_phase``, ``canonicalize``), and gate
 trajectories (``GateSpec``, ``gate_matrix``, ``apply``, ``trajectory``).
-The paper's alternative routes, kept as test oracles, live in
-``hopfbloch.paper`` and are not imported here.  numpy is imported only
-inside the functions that build arrays, so importing the package,
-extracting, reconstructing and sampling trajectories do not load it.
+The paper's alternative routes are test oracles in ``tests/helpers.py``,
+not part of the package.  numpy is imported only inside the functions that
+build arrays, so importing the package, extracting, reconstructing and
+sampling trajectories do not load it.
 """
 
 from .bloch import (
@@ -26,10 +26,8 @@ from .errors import (
     BadAxis,
     FiberAtInfinity,
     HopfBlochError,
-    NorthPole,
     NotNormalized,
     NotPureUnit,
-    NotUnit,
     OffSphere,
     OutOfRange,
     SouthPoleA,

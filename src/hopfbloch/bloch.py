@@ -119,11 +119,6 @@ def _base_coords(a: complex, b: complex, g: complex,
     return x0, col.real, -det2.imag, det2.real, col.imag
 
 
-def _base_point(s: TwoQubitState) -> S4Point:
-    """The S^4 base point of a state; raises SouthPoleA like ``extract``."""
-    return S4Point(*_base_coords(s.alpha, s.beta, s.gamma, s.delta))
-
-
 def extract(s: TwoQubitState) -> BlochCoordinates:
     """The seven angles of a state, on the canonical b >= 0 branch.
 

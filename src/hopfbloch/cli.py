@@ -112,9 +112,10 @@ def _floats(text: str, count: int, what: str) -> list[float]:
 
 def _parse_state(args) -> tuple[TwoQubitState, str | None]:
     if args.bell is not None:
-        if args.bell not in ("00", "01", "10", "11"):
-            raise ParseError(f"--bell takes 00, 01, 10 or 11, got {args.bell!r}")
-        return bell_state(args.bell), f"bell_{args.bell}"
+        try:
+            return bell_state(args.bell), f"bell_{args.bell}"
+        except ValueError as exc:
+            raise ParseError(f"--bell: {exc}") from None
     if args.state is None:
         raise ParseError("provide --state or --bell")
     parts = args.state.split(";")

@@ -13,10 +13,6 @@ class NotPureUnit(HopfBlochError):
     """A quaternion expected to be pure (zero real part) and unit-norm is not."""
 
 
-class NotUnit(HopfBlochError):
-    """A quaternion expected to be unit-norm is not."""
-
-
 class NotNormalized(HopfBlochError):
     """A state vector or quaternion pair is too far from unit norm to repair."""
 
@@ -24,10 +20,6 @@ class NotNormalized(HopfBlochError):
 class FiberAtInfinity(HopfBlochError):
     """The lower quaternion amplitude vanishes: the fibration image is the
     excluded north pole (1,0,0,0,0) and must be assigned directly."""
-
-
-class NorthPole(HopfBlochError):
-    """Stereographic projection requested at its excluded point x0 = 1."""
 
 
 class OffSphere(HopfBlochError):

@@ -45,6 +45,8 @@ class GateSpec:
     omega: float = math.pi
 
     def __post_init__(self):
+        if len(self.axis) != 3:
+            raise BadAxis(f"axis has {len(self.axis)} components, not 3")
         n = math.sqrt(sum(a * a for a in self.axis))
         # negated form so non-finite axes fail too
         if not (abs(n - 1.0) <= EPS_UNIT):

@@ -32,10 +32,15 @@ from hopfbloch import (
     trajectory,
 )
 from hopfbloch.cli import main
-from hopfbloch.paper import phase_family_state
 from hopfbloch.quaternion import angle_distance
 
-from helpers import SQ2, dense_reduced, random_quaternion, random_states
+from helpers import (
+    SQ2,
+    dense_reduced,
+    phase_family_state,
+    random_quaternion,
+    random_states,
+)
 
 PI = math.pi
 

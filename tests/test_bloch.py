@@ -24,7 +24,6 @@ from hopfbloch import (
     reconstruct,
 )
 from hopfbloch.bloch import _nearer_branch
-from hopfbloch.paper import fiber_quaternion, shortcut_base
 from hopfbloch.quaternion import (
     PureUnitQuaternion,
     Quaternion,
@@ -37,9 +36,11 @@ from hopfbloch.quaternion import (
 from helpers import (
     SQ2,
     assert_extract_matches_reference,
+    fiber_quaternion,
     quaternion_close,
     random_product_states,
     random_states,
+    shortcut_base,
 )
 
 PI = math.pi

@@ -86,9 +86,11 @@ def test_gate_matrix_unitary_along_path():
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-9
 
 
-def test_bad_axis_rejected():
+@pytest.mark.parametrize("axis", [(1.0, 1.0, 0.0), (1.0, 0.0), (1.0, 0.0, 0.0, 0.0)],
+                         ids=["not_unit", "two_components", "four_components"])
+def test_bad_axis_rejected(axis):
     with pytest.raises(BadAxis):
-        GateSpec.controlled_u((1.0, 1.0, 0.0), PI, PI / 2)
+        GateSpec.controlled_u(axis, PI, PI / 2)
 
 
 def test_apply_caption_endpoints():

@@ -7,7 +7,6 @@ from hopfbloch import (
     CoordFlag,
     FiberAtInfinity,
     NORTH_POLE,
-    NorthPole,
     NotNormalized,
     OffSphere,
     Quaternion,
@@ -17,10 +16,9 @@ from hopfbloch import (
     h1,
     inverse_stereographic,
 )
-from hopfbloch.paper import stereographic
 from hopfbloch.quaternion import J, angle_distance
 
-from helpers import SQ2, random_quaternion
+from helpers import SQ2, NorthPole, random_quaternion, stereographic
 
 
 def s4_close(p: S4Point, q: S4Point, tol=1e-9) -> bool:

@@ -5,7 +5,6 @@ import pytest
 
 from hopfbloch import (
     NotPureUnit,
-    NotUnit,
     PureUnitQuaternion,
     Quaternion,
     ZeroNorm,
@@ -15,10 +14,9 @@ from hopfbloch import (
     to_complex_pair,
     wrap_angle,
 )
-from hopfbloch.paper import conjugate_rotate
 from hopfbloch.quaternion import I, J, K, ONE
 
-from helpers import quaternion_close, random_quaternion
+from helpers import NotUnit, conjugate_rotate, quaternion_close, random_quaternion
 
 
 def test_basis_multiplication_table_exact():

@@ -20,13 +20,13 @@ from hopfbloch import (
     quasi_state,
     reduced_density,
 )
-from hopfbloch.paper import phase_family_state
 from hopfbloch.quaternion import J, ONE, angle_distance
 
 from helpers import (
     SQ2,
     dense_reduced,
     embed_complex,
+    phase_family_state,
     quaternion_close,
     random_product_states,
     random_states,
