@@ -22,12 +22,18 @@ from dataclasses import dataclass, replace
 
 from .errors import OutOfRange, SouthPoleA
 from .hopf import CoordFlag, S4Point, _base_angles, base_from_angles
-from .quaternion import TWO_PI, PureUnitQuaternion, angle_distance, wrap_angle
+from .quaternion import (
+    TWO_PI,
+    PureUnitQuaternion,
+    _wrapped_distance,
+    angle_distance,
+    wrap_angle,
+)
 from .state import TwoQubitState
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BlochCoordinates:
     """The seven angles plus degeneracy flags.
 
@@ -43,6 +49,19 @@ class BlochCoordinates:
     phi_b: float
     zeta_b: float
     flags: frozenset[CoordFlag] = frozenset()
+
+    def __init__(self, theta_a: float, phi_a: float, chi: float, xi: float,
+                 theta_b: float, phi_b: float, zeta_b: float,
+                 flags: frozenset[CoordFlag] = frozenset()):
+        # the slot setters skip the frozen __setattr__; see TwoQubitState
+        _set_theta_a(self, theta_a)
+        _set_phi_a(self, phi_a)
+        _set_chi(self, chi)
+        _set_xi(self, xi)
+        _set_theta_b(self, theta_b)
+        _set_phi_b(self, phi_b)
+        _set_zeta_b(self, zeta_b)
+        _set_flags(self, flags)
 
     def angles(self) -> tuple[float, float, float, float, float, float, float]:
         return (self.theta_a, self.phi_a, self.chi, self.xi,
@@ -78,6 +97,16 @@ class BlochCoordinates:
         st = math.sin(self.theta_b)
         return (st * math.cos(self.phi_b), st * math.sin(self.phi_b),
                 math.cos(self.theta_b))
+
+
+_set_theta_a = BlochCoordinates.theta_a.__set__
+_set_phi_a = BlochCoordinates.phi_a.__set__
+_set_chi = BlochCoordinates.chi.__set__
+_set_xi = BlochCoordinates.xi.__set__
+_set_theta_b = BlochCoordinates.theta_b.__set__
+_set_phi_b = BlochCoordinates.phi_b.__set__
+_set_zeta_b = BlochCoordinates.zeta_b.__set__
+_set_flags = BlochCoordinates.flags.__set__
 
 
 def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, tuple]:
@@ -245,21 +274,25 @@ def _nearer_branch(c: BlochCoordinates,
     """alternate(c) when it is coords_distance-closer to prev than c is,
     else c; the twin is built only when it is chosen.
 
-    The twin shares theta_a, theta_b, phi_b and zeta_b with c, so those four
+    Every angle of c and prev must already lie in [0, 2*pi), as those of
+    extract, south_pole_coords and _flip_branch do: the distances then skip
+    coords_distance's wrap, on which such angles are the identity.  The
+    twin shares theta_a, theta_b, phi_b and zeta_b with c, so those four
     distances are taken once.  Both sums keep coords_distance's
     left-to-right order, so ties resolve as they do through it.
     """
     if not _has_twin(c):
         return c
     phi_a, chi, xi = _flipped_angles(c)
-    d_theta_a = angle_distance(c.theta_a, prev.theta_a)
-    d_theta_b = angle_distance(c.theta_b, prev.theta_b)
-    d_phi_b = angle_distance(c.phi_b, prev.phi_b)
-    d_zeta_b = angle_distance(c.zeta_b, prev.zeta_b)
-    twin = (d_theta_a + angle_distance(phi_a, prev.phi_a)
-            + angle_distance(chi, prev.chi) + angle_distance(xi, prev.xi)
+    d_theta_a = _wrapped_distance(c.theta_a, prev.theta_a)
+    d_theta_b = _wrapped_distance(c.theta_b, prev.theta_b)
+    d_phi_b = _wrapped_distance(c.phi_b, prev.phi_b)
+    d_zeta_b = _wrapped_distance(c.zeta_b, prev.zeta_b)
+    twin = (d_theta_a + _wrapped_distance(phi_a, prev.phi_a)
+            + _wrapped_distance(chi, prev.chi) + _wrapped_distance(xi, prev.xi)
             + d_theta_b + d_phi_b + d_zeta_b)
-    canon = (d_theta_a + angle_distance(c.phi_a, prev.phi_a)
-             + angle_distance(c.chi, prev.chi) + angle_distance(c.xi, prev.xi)
+    canon = (d_theta_a + _wrapped_distance(c.phi_a, prev.phi_a)
+             + _wrapped_distance(c.chi, prev.chi)
+             + _wrapped_distance(c.xi, prev.xi)
              + d_theta_b + d_phi_b + d_zeta_b)
     return _flip_branch(c) if twin < canon else c

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import svg
 from .bloch import (
@@ -46,6 +47,9 @@ from .state import (
     reduced_density,
 )
 from .tolerances import EPS_NUM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParseError(Exception):

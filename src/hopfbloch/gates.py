@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .bloch import (
     BlochCoordinates,
@@ -24,6 +25,9 @@ from .bloch import (
 from .errors import BadAxis, OutOfRange, SouthPoleA
 from .state import TwoQubitState
 from .tolerances import EPS_UNIT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _HALF_PI = 0.5 * math.pi
 
@@ -84,13 +88,29 @@ class Stage(Enum):
     ROTATION_RAMP = "rotation"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TrajectorySample:
     stage: Stage
     s: float
     state: TwoQubitState
     coords: BlochCoordinates
     branch_flip: bool = False
+
+    def __init__(self, stage: Stage, s: float, state: TwoQubitState,
+                 coords: BlochCoordinates, branch_flip: bool = False):
+        # the slot setters skip the frozen __setattr__; see TwoQubitState
+        _set_stage(self, stage)
+        _set_s(self, s)
+        _set_state(self, state)
+        _set_coords(self, coords)
+        _set_branch_flip(self, branch_flip)
+
+
+_set_stage = TrajectorySample.stage.__set__
+_set_s = TrajectorySample.s.__set__
+_set_state = TrajectorySample.state.__set__
+_set_coords = TrajectorySample.coords.__set__
+_set_branch_flip = TrajectorySample.branch_flip.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,7 +26,7 @@ class CoordFlag(Enum):
     T_UNDEFINED = "t_undefined"              # b ~ 0: whole t sphere meaningless, t := k
     XI_UNDEFINED = "xi_undefined"            # c ~ 0 with b != 0: t = +-k, xi := 0
     PHI_B_UNDEFINED = "phi_b_undefined"      # theta_B ~ 0
-    SOUTH_POLE_A = "south_pole_a"            # |1>_A (x) |psi_B| exception
+    SOUTH_POLE_A = "south_pole_a"            # |1>_A (x) |psi_B> exception
     THETA_B_PI_AMBIGUOUS = "theta_b_pi_ambiguous"  # zeta_B pinned to 0
 
 

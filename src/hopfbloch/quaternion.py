@@ -29,10 +29,15 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def _wrapped_distance(a: float, b: float) -> float:
+    """angle_distance of two angles already in [0, 2*pi)."""
+    d = abs(a - b)
+    return min(d, TWO_PI - d)
+
+
 def angle_distance(a: float, b: float) -> float:
     """Wrap-aware distance between two angles, in [0, pi]."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
+    return _wrapped_distance(wrap_angle(a), wrap_angle(b))
 
 
 @dataclass(frozen=True, slots=True)

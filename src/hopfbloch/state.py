@@ -14,11 +14,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
 from .hopf import S4Point
 from .quaternion import Quaternion, from_complex_pair, wrap_angle
 from .tolerances import EPS_UNIT, NORM_INPUT_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Basis(Enum):
@@ -28,7 +32,7 @@ class Basis(Enum):
     B = "B"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TwoQubitState:
     """Unit-normalized amplitudes of |00>, |01>, |10>, |11>.
 
@@ -41,10 +45,13 @@ class TwoQubitState:
     gamma: complex
     delta: complex
 
-    def __post_init__(self):
+    def __init__(self, alpha: complex, beta: complex, gamma: complex,
+                 delta: complex):
+        # each slot is written once through its descriptor, which skips the
+        # frozen __setattr__ (see the setters below the class)
         try:
-            n2 = (abs(self.alpha) ** 2 + abs(self.beta) ** 2
-                  + abs(self.gamma) ** 2 + abs(self.delta) ** 2)
+            n2 = (abs(alpha) ** 2 + abs(beta) ** 2
+                  + abs(gamma) ** 2 + abs(delta) ** 2)
         except OverflowError:
             raise NotNormalized("amplitude norm overflows a float") from None
         n = math.sqrt(n2)
@@ -52,10 +59,11 @@ class TwoQubitState:
         if not (abs(n - 1.0) <= NORM_INPUT_TOL):
             raise NotNormalized(f"amplitude norm {n:.12g} is not 1")
         if n2 != 1.0:
-            object.__setattr__(self, "alpha", self.alpha / n)
-            object.__setattr__(self, "beta", self.beta / n)
-            object.__setattr__(self, "gamma", self.gamma / n)
-            object.__setattr__(self, "delta", self.delta / n)
+            alpha, beta, gamma, delta = alpha / n, beta / n, gamma / n, delta / n
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+        _set_gamma(self, gamma)
+        _set_delta(self, delta)
 
     @classmethod
     def from_vector(cls, vec) -> "TwoQubitState":
@@ -70,6 +78,12 @@ class TwoQubitState:
 
     def amplitudes(self) -> tuple[complex, complex, complex, complex]:
         return self.alpha, self.beta, self.gamma, self.delta
+
+
+_set_alpha = TwoQubitState.alpha.__set__
+_set_beta = TwoQubitState.beta.__set__
+_set_gamma = TwoQubitState.gamma.__set__
+_set_delta = TwoQubitState.delta.__set__
 
 
 _BELL = {
