@@ -36,7 +36,7 @@ def _norm_squared(x0: float, x1: float, x2: float, x3: float, x4: float) -> floa
 
 def _validate(x0: float, x1: float, x2: float, x3: float, x4: float) -> None:
     err = abs(_norm_squared(x0, x1, x2, x3, x4) - 1.0)
-    if err > EPS_UNIT:
+    if not (err <= EPS_UNIT):  # negated so a NaN norm is rejected too
         raise OffSphere(f"coordinates off the unit 4-sphere by {err:.3e}")
 
 

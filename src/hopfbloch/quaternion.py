@@ -166,9 +166,6 @@ class PureUnitQuaternion:
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.tx, self.ty, self.tz)
 
-    def __neg__(self) -> "PureUnitQuaternion":
-        return PureUnitQuaternion(-self.tx, -self.ty, -self.tz)
-
 
 def exp_pure(t: PureUnitQuaternion, phi: float) -> Quaternion:
     """exp(t*phi) = cos(phi) + t*sin(phi); always unit norm."""

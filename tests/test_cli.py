@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfbloch import OffSphere, TwoQubitState, bell_state, phase_aligned_distance
+from hopfbloch import (
+    OffSphere,
+    QuasiDensity,
+    Quaternion,
+    S4Point,
+    TwoQubitState,
+    bell_state,
+    inverse_stereographic,
+    phase_aligned_distance,
+)
 from hopfbloch.cli import main
 
 from helpers import SQ2, random_states
@@ -122,6 +131,16 @@ def test_amplitudes_bell_01_and_roundtrip(capsys):
     assert record["roundtrip"]["amplitude_max_deviation"] <= 1e-9
 
 
+def test_amplitudes_roundtrip_at_the_south_pole(capsys):
+    # theta_a = pi reconstructs |1>_A (x) |0>_B, which extract cannot re-read
+    code, out = run(capsys, ["amplitudes", "--angles",
+                             "3.141592653589793,0,0,0,0,0,0", "--roundtrip"])
+    assert code == 0
+    roundtrip = json.loads(out)["roundtrip"]
+    assert roundtrip["error"] == "south_pole_a"
+    assert roundtrip["psi_b"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
 def test_amplitudes_out_of_range(capsys):
     code, out = run(capsys, ["amplitudes", "--angles", "9,0,0,0,0,0,0"])
     assert code == 3
@@ -132,6 +151,13 @@ def test_traj_unknown_gate(capsys):
     code, out = run(capsys, ["traj", "toffoli", "--bell", "00"])
     assert code == 4
     assert json.loads(out)["error"] == "unknown_gate"
+
+
+def test_traj_cu_needs_an_axis(capsys):
+    code, out = run(capsys, ["traj", "cu", "--bell", "00"])
+    assert code == 2
+    assert json.loads(out) == {"error": "parse",
+                               "message": "controlled-U needs --axis nx,ny,nz"}
 
 
 def test_traj_csv_golden_shape(capsys):
@@ -365,6 +391,47 @@ def test_check_random_sweep_checks_every_draw(capsys, monkeypatch):
     assert code == 0
     assert out.count("ok  ") == 6
     assert "checked 1 state(s)" in out
+
+
+def _nan_x4(q):
+    """inverse_stereographic with x4 = NaN: of the five coordinates that
+    fiber_invariance compares, only the last differs by NaN."""
+    p = inverse_stereographic(q)
+    return S4Point(p.x0, p.x1, p.x2, p.x3, math.nan)
+
+
+# (cli global to replace, its replacement, the invariant that must FAIL);
+# the projector, reduced_vs_oracle and fiber_invariance NaNs come after a
+# finite value of the same state, where the builtin max would drop them
+NAN_DEVIATIONS = [
+    ("phase_aligned_distance", lambda s1, s2: math.nan, "round_trip"),
+    ("concurrence", lambda s: (math.nan, 0.0), "concurrence_identity"),
+    ("quasi_density",
+     lambda qs: QuasiDensity(Quaternion(0.5), Quaternion(), Quaternion(),
+                             Quaternion(0.5, math.nan)),
+     "projector"),
+    ("partial_trace_projection", lambda p: np.full((2, 2), complex(math.nan)),
+     "reduced_vs_oracle"),
+    ("inverse_stereographic", _nan_x4, "fiber_invariance"),
+]
+
+
+@pytest.mark.parametrize("target, stub, invariant", NAN_DEVIATIONS,
+                         ids=[inv for _, _, inv in NAN_DEVIATIONS])
+def test_check_nan_deviation_fails_its_invariant(capsys, monkeypatch, target,
+                                                 stub, invariant):
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    monkeypatch.setattr(f"hopfbloch.cli.{target}", stub)
+    code, out = run(capsys, ["check", "--count", "3"])
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 7 and lines[-1].startswith("checked 3 state(s)")
+    for line in lines[:-1]:
+        name = line.split()[1]
+        if name == invariant:
+            assert line == f"FAIL {invariant:24s} max_err=nan"
+        else:
+            assert line.startswith("ok  "), line
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -145,6 +145,14 @@ def test_angles_from_base_off_sphere_rejected():
         angles_from_base(S4Point(1, 1, 0, 0, 0))
 
 
+def test_nan_point_is_off_sphere():
+    p = S4Point(math.nan, 0, 0, 0, 0)
+    with pytest.raises(OffSphere):
+        p.validate()
+    with pytest.raises(OffSphere):
+        angles_from_base(p)
+
+
 def test_angle_base_roundtrip_unflagged():
     rng = np.random.default_rng(14)
     for _ in range(2000):

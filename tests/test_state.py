@@ -8,6 +8,7 @@ from hopfbloch import (
     Basis,
     NotNormalized,
     OffSphere,
+    QuasiState,
     Quaternion,
     S4Point,
     TwoQubitState,
@@ -206,6 +207,23 @@ def test_partial_trace_projection_examples():
     assert np.max(np.abs(rho - np.array([[1, 0], [0, 0]]))) <= 1e-15
     with pytest.raises(OffSphere):
         partial_trace_projection(S4Point(1, 1, 1, 1, 1))
+
+
+def test_partial_trace_projection_nan_point_rejected():
+    with pytest.raises(OffSphere):
+        partial_trace_projection(S4Point(math.nan, 0, 0, 0, 0))
+
+
+def test_phase_aligned_distance_zero_amplitude_fallback():
+    # s2 is zero where s1 peaks, so no phase can be aligned: plain max |a - b|
+    s1 = TwoQubitState(1, 0, 0, 0)
+    s2 = TwoQubitState(0, 1, 0, 0)
+    assert phase_aligned_distance(s1, s2) == 1.0
+
+
+def test_quasi_density_rejects_unnormalized_pair():
+    with pytest.raises(NotNormalized):
+        quasi_density(QuasiState(Quaternion(2), Quaternion()))
 
 
 def test_partial_trace_projection_ball_radius():
