@@ -25,11 +25,12 @@ from .hopf import CoordFlag, S4Point, _base_angles, base_from_angles
 from .quaternion import (
     TWO_PI,
     PureUnitQuaternion,
+    _sphere_point,
     _wrapped_distance,
     angle_distance,
     wrap_angle,
 )
-from .state import TwoQubitState
+from .state import TwoQubitState, _slot_setters
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
 
 
@@ -53,7 +54,6 @@ class BlochCoordinates:
     def __init__(self, theta_a: float, phi_a: float, chi: float, xi: float,
                  theta_b: float, phi_b: float, zeta_b: float,
                  flags: frozenset[CoordFlag] = frozenset()):
-        # the slot setters skip the frozen __setattr__; see TwoQubitState
         _set_theta_a(self, theta_a)
         _set_phi_a(self, phi_a)
         _set_chi(self, chi)
@@ -94,19 +94,11 @@ class BlochCoordinates:
 
     @property
     def qubit_b_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta_b)
-        return (st * math.cos(self.phi_b), st * math.sin(self.phi_b),
-                math.cos(self.theta_b))
+        return _sphere_point(self.theta_b, self.phi_b)
 
 
-_set_theta_a = BlochCoordinates.theta_a.__set__
-_set_phi_a = BlochCoordinates.phi_a.__set__
-_set_chi = BlochCoordinates.chi.__set__
-_set_xi = BlochCoordinates.xi.__set__
-_set_theta_b = BlochCoordinates.theta_b.__set__
-_set_phi_b = BlochCoordinates.phi_b.__set__
-_set_zeta_b = BlochCoordinates.zeta_b.__set__
-_set_flags = BlochCoordinates.flags.__set__
+(_set_theta_a, _set_phi_a, _set_chi, _set_xi, _set_theta_b, _set_phi_b,
+ _set_zeta_b, _set_flags) = _slot_setters(BlochCoordinates)
 
 
 def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, tuple]:
@@ -166,6 +158,7 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     # (x0 can land one ulp outside [-1, 1])
     ch = math.sqrt(max(0.0, 0.5 * (1.0 + x0)))
     sh = math.sqrt(max(0.0, 0.5 * (1.0 - x0)))
+    # t is _sphere_point(chi, xi), written out here to spare a call
     sc = math.sin(chi)
     tx, ty, tz = sc * math.cos(xi), sc * math.sin(xi), math.cos(chi)
     ew, sn = math.cos(-phi_a), math.sin(-phi_a)

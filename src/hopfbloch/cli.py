@@ -68,30 +68,32 @@ def _pair(z: complex) -> list[float]:
     return [_round12(z.real), _round12(z.imag)]
 
 
-def _angles_dict(c: BlochCoordinates) -> dict:
-    return {name: _round12(val)
-            for name, val in zip(("theta_a", "phi_a", "chi", "xi",
-                                  "theta_b", "phi_b", "zeta_b"), c.angles())}
+_ANGLES = ("theta_a", "phi_a", "chi", "xi", "theta_b", "phi_b", "zeta_b")
+
+
+def _rounded(names: tuple[str, ...], values: tuple[float, ...]) -> dict:
+    return {name: _round12(v) for name, v in zip(names, values)}
+
+
+def _flag_names(c: BlochCoordinates) -> list[str]:
+    return sorted(f.value for f in c.flags)
 
 
 def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     p = c.s4_point
     t = c.t
-    xb, yb, zb = c.qubit_b_vector
-    alt = alternate(c)
     record = {}
     if label is not None:
         record["label"] = label
     record.update({
-        "angles": _angles_dict(c),
-        "cartesian": {k: _round12(v) for k, v in
-                      (("x0", p.x0), ("x1", p.x1), ("x2", p.x2),
-                       ("x3", p.x3), ("x4", p.x4))},
-        "t": {"tx": _round12(t.tx), "ty": _round12(t.ty), "tz": _round12(t.tz)},
-        "qubit_b": {"xb": _round12(xb), "yb": _round12(yb), "zb": _round12(zb)},
+        "angles": _rounded(_ANGLES, c.angles()),
+        "cartesian": _rounded(("x0", "x1", "x2", "x3", "x4"),
+                              (p.x0, p.x1, p.x2, p.x3, p.x4)),
+        "t": _rounded(("tx", "ty", "tz"), (t.tx, t.ty, t.tz)),
+        "qubit_b": _rounded(("xb", "yb", "zb"), c.qubit_b_vector),
         "concurrence": _round12(c.concurrence),
-        "flags": sorted(f.value for f in c.flags),
-        "alternate": _angles_dict(alt),
+        "flags": _flag_names(c),
+        "alternate": _rounded(_ANGLES, alternate(c).angles()),
     })
     return record
 
@@ -157,7 +159,7 @@ def cmd_amplitudes(args) -> int:
             record["roundtrip"] = {
                 "angle_max_deviation": _round12(angle_dev),
                 "amplitude_max_deviation": _round12(amp_dev),
-                "flags": sorted(f.value for f in again.flags),
+                "flags": _flag_names(again),
             }
         except SouthPoleA as exc:
             record["roundtrip"] = _south_pole_payload(exc)
@@ -179,8 +181,7 @@ def _make_gate(args) -> GateSpec:
 
 
 _CSV_HEADER = ("stage,s,alpha_re,alpha_im,beta_re,beta_im,gamma_re,gamma_im,"
-               "delta_re,delta_im,theta_a,phi_a,chi,xi,theta_b,phi_b,zeta_b,"
-               "concurrence,branch_flip")
+               "delta_re,delta_im," + ",".join(_ANGLES) + ",concurrence,branch_flip")
 
 
 def _traj_csv(traj: Trajectory) -> str:
@@ -210,9 +211,9 @@ def _traj_json(traj: Trajectory) -> dict:
                 "stage": smp.stage.value,
                 "s": _round12(smp.s),
                 "amplitudes": [_pair(z) for z in smp.state.amplitudes()],
-                "angles": _angles_dict(smp.coords),
+                "angles": _rounded(_ANGLES, smp.coords.angles()),
                 "concurrence": _round12(smp.coords.concurrence),
-                "flags": sorted(f.value for f in smp.coords.flags),
+                "flags": _flag_names(smp.coords),
                 "branch_flip": smp.branch_flip,
             }
             for smp in traj.samples
@@ -325,7 +326,10 @@ def cmd_check(args) -> int:
     elif args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     else:
-        raw = rng.normal(size=(args.count, 8))
+        try:
+            raw = rng.normal(size=(args.count, 8))
+        except (MemoryError, ValueError) as exc:
+            raise ParseError(f"--count {args.count} is too large: {exc}") from None
         states = [TwoQubitState.from_vector(vec / np.linalg.norm(vec))
                   for vec in raw[:, 0::2] + 1j * raw[:, 1::2]]
 
@@ -356,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_coords.add_argument("--fix-phase", action="store_true",
                           help="shift xi and phi_b by 2*zeta_b and zero zeta_b")
     p_coords.add_argument("--canonical", action="store_true",
-                          help="force the b >= 0 branch")
+                          help="no-op: coords is already on the b >= 0 branch")
     p_coords.add_argument("--format", choices=["json"], default="json")
     p_coords.set_defaults(func=cmd_coords)
 
     p_amp = sub.add_parser("amplitudes", help="seven angles -> state")
     p_amp.add_argument("--angles", required=True,
-                       help="theta_a,phi_a,chi,xi,theta_b,phi_b,zeta_b (radians)")
+                       help=",".join(_ANGLES) + " (radians)")
     p_amp.add_argument("--roundtrip", action="store_true",
                        help="re-extract and report the max deviation")
     p_amp.set_defaults(func=cmd_amplitudes)

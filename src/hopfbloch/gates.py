@@ -23,7 +23,7 @@ from .bloch import (
     south_pole_coords,
 )
 from .errors import BadAxis, OutOfRange, SouthPoleA
-from .state import TwoQubitState
+from .state import TwoQubitState, _slot_setters
 from .tolerances import EPS_UNIT
 
 if TYPE_CHECKING:
@@ -98,7 +98,6 @@ class TrajectorySample:
 
     def __init__(self, stage: Stage, s: float, state: TwoQubitState,
                  coords: BlochCoordinates, branch_flip: bool = False):
-        # the slot setters skip the frozen __setattr__; see TwoQubitState
         _set_stage(self, stage)
         _set_s(self, s)
         _set_state(self, state)
@@ -106,11 +105,8 @@ class TrajectorySample:
         _set_branch_flip(self, branch_flip)
 
 
-_set_stage = TrajectorySample.stage.__set__
-_set_s = TrajectorySample.s.__set__
-_set_state = TrajectorySample.state.__set__
-_set_coords = TrajectorySample.coords.__set__
-_set_branch_flip = TrajectorySample.branch_flip.__set__
+(_set_stage, _set_s, _set_state, _set_coords,
+ _set_branch_flip) = _slot_setters(TrajectorySample)
 
 
 @dataclass(frozen=True, slots=True)

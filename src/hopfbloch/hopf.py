@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FiberAtInfinity, NotNormalized, OffSphere
-from .quaternion import Quaternion, wrap_angle
+from .quaternion import Quaternion, _sphere_point, wrap_angle
 from .tolerances import EPS_UNIT, EPS_ZERO
 
 
@@ -121,12 +121,11 @@ def base_from_angles(theta: float, phi: float, chi: float, xi: float) -> S4Point
     b*t with b = sin(theta)sin(phi), t = (sin(chi)cos(xi), sin(chi)sin(xi),
     cos(chi)).
     """
-    st = math.sin(theta)
-    b = st * math.sin(phi)
+    x1, b, x0 = _sphere_point(theta, phi)
     sc = math.sin(chi)
     return S4Point(
-        math.cos(theta),
-        st * math.cos(phi),
+        x0,
+        x1,
         b * sc * math.cos(xi),
         b * sc * math.sin(xi),
         b * math.cos(chi),

@@ -40,6 +40,12 @@ def angle_distance(a: float, b: float) -> float:
     return _wrapped_distance(wrap_angle(a), wrap_angle(b))
 
 
+def _sphere_point(polar: float, azimuth: float) -> tuple[float, float, float]:
+    """The unit vector at polar angle `polar` from +z, azimuth from +x to +y."""
+    s = math.sin(polar)
+    return s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
+
+
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     """q = w + x*i + y*j + z*k with real coefficients."""
@@ -136,8 +142,7 @@ class PureUnitQuaternion:
 
     @classmethod
     def from_angles(cls, chi: float, xi: float) -> "PureUnitQuaternion":
-        s = math.sin(chi)
-        return cls(s * math.cos(xi), s * math.sin(xi), math.cos(chi))
+        return cls(*_sphere_point(chi, xi))
 
     @classmethod
     def from_components(cls, tx: float, ty: float,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -47,8 +47,6 @@ class TwoQubitState:
 
     def __init__(self, alpha: complex, beta: complex, gamma: complex,
                  delta: complex):
-        # each slot is written once through its descriptor, which skips the
-        # frozen __setattr__ (see the setters below the class)
         try:
             n2 = (abs(alpha) ** 2 + abs(beta) ** 2
                   + abs(gamma) ** 2 + abs(delta) ** 2)
@@ -80,10 +78,14 @@ class TwoQubitState:
         return self.alpha, self.beta, self.gamma, self.delta
 
 
-_set_alpha = TwoQubitState.alpha.__set__
-_set_beta = TwoQubitState.beta.__set__
-_set_gamma = TwoQubitState.gamma.__set__
-_set_delta = TwoQubitState.delta.__set__
+def _slot_setters(cls: type) -> tuple:
+    """The __set__ of each field's slot, in field order: the hand-written
+    __init__ of a frozen dataclass stores each field once through these,
+    which skips the frozen __setattr__."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_alpha, _set_beta, _set_gamma, _set_delta = _slot_setters(TwoQubitState)
 
 
 _BELL = {

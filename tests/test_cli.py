@@ -323,12 +323,14 @@ def test_traj_with_south_pole_samples(capsys):
     (["check", "--count", "3", "--tolerance=-1"], {}),
     (["check", "--count", "3", "--tolerance=0"], {}),
     (["check", "--count", "3", "--tolerance=inf"], {}),
+    (["check", "--count", "1000000000000000"], {}),
+    (["check", "--count", "99999999999999999999"], {}),
 ], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
         "negative-seed", "negative-seed-env", "short-axis", "short-angles",
         "bad-angle", "short-amplitude", "bad-amplitude", "bad-seed",
         "bad-n1", "bad-format", "unknown-option", "no-command",
         "nan-tolerance", "negative-tolerance", "zero-tolerance",
-        "inf-tolerance"])
+        "inf-tolerance", "unallocatable-count", "unshapeable-count"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():

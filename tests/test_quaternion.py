@@ -40,6 +40,14 @@ def test_mul_identity_and_hand_expansion():
     assert (ONE + I) * (ONE + J) == Quaternion(1, 1, 1, 1)
 
 
+def test_complex_scalar_is_not_a_real_scalar():
+    # k doubles as the complex unit, so scaling by 1j would be ambiguous
+    with pytest.raises(TypeError):
+        Quaternion(1.0) * 1j
+    with pytest.raises(TypeError):
+        1j * Quaternion(1.0)
+
+
 def test_norm_multiplicativity_bulk():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(100_000, 8))
