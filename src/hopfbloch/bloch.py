@@ -185,14 +185,25 @@ def _check_range(name: str, value: float, closed_pi: bool) -> float:
 
 
 def reconstruct(c: BlochCoordinates) -> TwoQubitState:
-    """Amplitudes from the seven angles (closed form, k as the complex unit)."""
-    theta_a = _check_range("theta_a", c.theta_a, True)
-    theta_b = _check_range("theta_b", c.theta_b, True)
-    chi = _check_range("chi", c.chi, True)
-    phi_a = _check_range("phi_a", c.phi_a, False)
-    phi_b = _check_range("phi_b", c.phi_b, False)
-    zeta_b = _check_range("zeta_b", c.zeta_b, False)
-    xi = _check_range("xi", c.xi, False)
+    """Amplitudes from the seven angles (closed form, k as the complex unit).
+
+    Angles in range pass unchanged, as _check_range would return them
+    (-0.0 included), so it runs only when one comparison finds an angle off
+    its range (NaN too): there it clamps within EPS_NUM or raises OutOfRange.
+    """
+    theta_a, phi_a, chi, xi = c.theta_a, c.phi_a, c.chi, c.xi
+    theta_b, phi_b, zeta_b = c.theta_b, c.phi_b, c.zeta_b
+    pi = math.pi
+    if not (0.0 <= theta_a <= pi and 0.0 <= theta_b <= pi and 0.0 <= chi <= pi
+            and 0.0 <= phi_a < TWO_PI and 0.0 <= phi_b < TWO_PI
+            and 0.0 <= zeta_b < TWO_PI and 0.0 <= xi < TWO_PI):
+        theta_a = _check_range("theta_a", theta_a, True)
+        theta_b = _check_range("theta_b", theta_b, True)
+        chi = _check_range("chi", chi, True)
+        phi_a = _check_range("phi_a", phi_a, False)
+        phi_b = _check_range("phi_b", phi_b, False)
+        zeta_b = _check_range("zeta_b", zeta_b, False)
+        xi = _check_range("xi", xi, False)
 
     ca, sa = math.cos(0.5 * theta_a), math.sin(0.5 * theta_a)
     cb, sb = math.cos(0.5 * theta_b), math.sin(0.5 * theta_b)

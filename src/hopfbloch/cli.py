@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gates import GateSpec, Trajectory, trajectory
 from .hopf import CoordFlag, h1, inverse_stereographic
-from .quaternion import Quaternion, angle_distance
+from .quaternion import Quaternion, _sphere_point, angle_distance
 from .state import (
     Basis,
     TwoQubitState,
@@ -225,7 +225,7 @@ def _traj_svg(traj: Trajectory) -> str:
     sphere_a, sphere_t, sphere_b = [], [], []
     for smp in traj.samples:
         c = smp.coords
-        sphere_a.append((c.x1, c.b, c.x0))
+        sphere_a.append(_sphere_point(c.theta_a, c.phi_a))
         t = c.t
         sphere_t.append((t.tx, t.ty, t.tz))
         sphere_b.append(c.qubit_b_vector)

@@ -65,7 +65,7 @@ class TwoQubitState:
 
     @classmethod
     def from_vector(cls, vec) -> "TwoQubitState":
-        a, b, c, d = (complex(v) for v in vec)
+        a, b, c, d = map(complex, vec)
         return cls(a, b, c, d)
 
     @property
@@ -108,16 +108,28 @@ def bell_state(code: str) -> TwoQubitState:
 def phase_aligned_distance(s1: TwoQubitState, s2: TwoQubitState) -> float:
     """Max amplitude deviation after aligning the global phases.
 
-    The alignment phase is taken from the largest-magnitude amplitude of s1.
+    The alignment phase is taken from the largest-magnitude amplitude of s1
+    (the first one on a tie).
     """
-    v1 = s1.amplitudes()
-    v2 = s2.amplitudes()
-    k = max(range(4), key=lambda i: abs(v1[i]))
-    if abs(v2[k]) == 0.0:
-        return max(abs(a - b) for a, b in zip(v1, v2))
-    phase = v1[k] / v2[k]
-    phase /= abs(phase)
-    return max(abs(a - phase * b) for a, b in zip(v1, v2))
+    a1, b1, g1, d1 = s1.alpha, s1.beta, s1.gamma, s1.delta
+    a2, b2, g2, d2 = s2.alpha, s2.beta, s2.gamma, s2.delta
+    m = [abs(a1), abs(b1), abs(g1), abs(d1)]
+    k = m.index(max(m))
+    u1, u2 = (a1, b1, g1, d1)[k], (a2, b2, g2, d2)[k]
+    if abs(u2) == 0.0:
+        return max(abs(a1 - a2), abs(b1 - b2), abs(g1 - g2), abs(d1 - d2))
+    phase = u1 / u2
+    try:
+        r = abs(phase)
+    except OverflowError:
+        r = math.inf
+    if r == math.inf:
+        # a subnormal u2 overflows |u1 / u2|; atan2 keeps its full precision
+        phase = cmath.rect(1.0, cmath.phase(u1) - cmath.phase(u2))
+    else:
+        phase /= r
+    return max(abs(a1 - phase * a2), abs(b1 - phase * b2),
+               abs(g1 - phase * g2), abs(d1 - phase * d2))
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ from hopfbloch import (
     CoordFlag,
     HopfBlochError,
     NotNormalized,
+    OutOfRange,
     Quaternion,
     S4Point,
     SouthPoleA,
@@ -21,8 +22,9 @@ from hopfbloch import (
     angles_from_base,
     extract,
     quasi_state,
+    reconstruct,
 )
-from hopfbloch.bloch import _base_coords, _fiber_angles
+from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
 from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
 from hopfbloch.tolerances import EPS_UNIT, EPS_ZERO
 
@@ -126,6 +128,66 @@ def assert_extract_matches_reference(s: TwoQubitState):
     assert got.angles() == want.angles()
     assert got.flags == want.flags
     return got
+
+
+def reference_reconstruct(c: BlochCoordinates) -> TwoQubitState:
+    """``reconstruct`` with every angle passed through ``_check_range``.
+    ``reconstruct`` calls it only for an angle set off its range, where this
+    clamps or raises the same way, so the two agree bit for bit."""
+    theta_a = _check_range("theta_a", c.theta_a, True)
+    theta_b = _check_range("theta_b", c.theta_b, True)
+    chi = _check_range("chi", c.chi, True)
+    phi_a = _check_range("phi_a", c.phi_a, False)
+    phi_b = _check_range("phi_b", c.phi_b, False)
+    zeta_b = _check_range("zeta_b", c.zeta_b, False)
+    xi = _check_range("xi", c.xi, False)
+
+    ca, sa = math.cos(0.5 * theta_a), math.sin(0.5 * theta_a)
+    cb, sb = math.cos(0.5 * theta_b), math.sin(0.5 * theta_b)
+    gz = cmath.exp(1j * zeta_b)
+    gp = cmath.exp(1j * (phi_b - zeta_b))
+    axial = complex(math.cos(phi_a), math.sin(phi_a) * math.cos(chi))
+    swirl = 1j * math.sin(phi_a) * math.sin(chi) * cmath.exp(1j * (xi - phi_b))
+
+    return TwoQubitState(
+        ca * cb * gz,
+        ca * sb * gp,
+        sa * (axial * cb + swirl * sb) * gz,
+        sa * (axial * sb - swirl * cb) * gp,
+    )
+
+
+def amplitude_bits(s: TwoQubitState) -> tuple[str, ...]:
+    """float.hex of each amplitude's real and imaginary part: equal tuples
+    mean equal bits, the sign of a zero included."""
+    return tuple(x.hex() for z in s.amplitudes() for x in (z.real, z.imag))
+
+
+def assert_reconstruct_matches_reference(c: BlochCoordinates) -> None:
+    """reconstruct(c) has the bits of reference_reconstruct(c), or both raise
+    OutOfRange with the same message."""
+    try:
+        want = reference_reconstruct(c)
+    except OutOfRange as exc:
+        with pytest.raises(OutOfRange) as got:
+            reconstruct(c)
+        assert str(got.value) == str(exc)
+        return
+    assert amplitude_bits(reconstruct(c)) == amplitude_bits(want)
+
+
+def reference_phase_aligned_distance(s1: TwoQubitState,
+                                     s2: TwoQubitState) -> float:
+    """``phase_aligned_distance`` written with generators and a keyed max:
+    k is the first index of s1's largest magnitude, as there."""
+    v1 = s1.amplitudes()
+    v2 = s2.amplitudes()
+    k = max(range(4), key=lambda i: abs(v1[i]))
+    if abs(v2[k]) == 0.0:
+        return max(abs(a - b) for a, b in zip(v1, v2))
+    phase = v1[k] / v2[k]
+    phase /= abs(phase)
+    return max(abs(a - phase * b) for a, b in zip(v1, v2))
 
 
 SQ2 = math.sqrt(0.5)

@@ -23,7 +23,7 @@ from hopfbloch import (
     quasi_state,
     reconstruct,
 )
-from hopfbloch.bloch import _nearer_branch
+from hopfbloch.bloch import _nearer_branch, south_pole_coords
 from hopfbloch.quaternion import (
     PureUnitQuaternion,
     Quaternion,
@@ -36,6 +36,7 @@ from hopfbloch.quaternion import (
 from helpers import (
     SQ2,
     assert_extract_matches_reference,
+    assert_reconstruct_matches_reference,
     fiber_quaternion,
     quaternion_close,
     random_product_states,
@@ -126,6 +127,59 @@ def test_reconstruct_out_of_range():
         reconstruct(BlochCoordinates(1.0, -0.5, 0, 0, 0, 0, 0))
     with pytest.raises(OutOfRange):
         reconstruct(BlochCoordinates(1.0, 0, 0, 0, 0, 7.0, 0))
+
+
+def _coords_of(s):
+    try:
+        return extract(s)
+    except SouthPoleA as exc:
+        return south_pole_coords(exc)
+
+
+def test_reconstruct_matches_reference_on_states():
+    rng = np.random.default_rng(47)
+    basis = [TwoQubitState(*(1 if i == j else 0 for i in range(4)))
+             for j in range(4)]
+    bells = [bell_state(code) for code in ("00", "01", "10", "11")]
+    south = [TwoQubitState(0, 0, SQ2, SQ2 * 1j), TwoQubitState(0, 0, 0.6, -0.8)]
+    coords = [_coords_of(s) for s in basis + bells + south]
+    coords += [alternate(c) for c in coords]
+    coords += [extract(s) for s in random_states(rng, 500)]
+    assert sum(CoordFlag.SOUTH_POLE_A in c.flags for c in coords) == 8
+    for c in coords:
+        assert_reconstruct_matches_reference(c)
+
+
+ANGLE_NAMES = ("theta_a", "phi_a", "chi", "xi", "theta_b", "phi_b", "zeta_b")
+POLAR_NAMES = ("theta_a", "chi", "theta_b")
+TWO_PI = 2 * PI
+# in range, or within EPS_NUM = 1e-9 outside it (clamped or wrapped)
+ACCEPTED = {
+    "polar": (0.0, -0.0, PI, -5e-10, PI + 5e-10),
+    "azimuth": (0.0, -0.0, PI, TWO_PI - math.ulp(TWO_PI), TWO_PI, -5e-10,
+                TWO_PI + 5e-10),
+}
+REJECTED = {
+    "polar": (TWO_PI - math.ulp(TWO_PI), TWO_PI, -1e-8, 7.0, math.nan,
+              math.inf, -math.inf),
+    "azimuth": (-1e-8, 7.0, math.nan, math.inf, -math.inf),
+}
+
+
+@pytest.mark.parametrize("name", ANGLE_NAMES)
+def test_reconstruct_matches_reference_at_range_edges(name):
+    # one angle on or past an edge of its range, the others generic
+    kind = "polar" if name in POLAR_NAMES else "azimuth"
+    base = dict(zip(ANGLE_NAMES, (1.1, 2.2, 0.7, 4.0, 1.9, 3.3, 5.1)))
+    for value in ACCEPTED[kind]:
+        c = BlochCoordinates(**{**base, name: value})
+        reconstruct(c)
+        assert_reconstruct_matches_reference(c)
+    for value in REJECTED[kind]:
+        c = BlochCoordinates(**{**base, name: value})
+        with pytest.raises(OutOfRange, match=f"^{name} = "):
+            reconstruct(c)
+        assert_reconstruct_matches_reference(c)
 
 
 def test_roundtrip_random_states():

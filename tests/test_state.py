@@ -19,6 +19,7 @@ from hopfbloch import (
     phase_aligned_distance,
     quasi_density,
     quasi_state,
+    reconstruct,
     reduced_density,
 )
 from hopfbloch.quaternion import J, ONE, angle_distance
@@ -32,6 +33,7 @@ from helpers import (
     random_product_states,
     random_states,
     random_unitary_2x2,
+    reference_phase_aligned_distance,
 )
 
 CONC_TERM = ((Quaternion(), -J), (J, Quaternion()))  # ((0,-j),(j,0))
@@ -219,6 +221,61 @@ def test_phase_aligned_distance_zero_amplitude_fallback():
     s1 = TwoQubitState(1, 0, 0, 0)
     s2 = TwoQubitState(0, 1, 0, 0)
     assert phase_aligned_distance(s1, s2) == 1.0
+
+
+def _distance_bits(x):
+    return type(x), float(x).hex()
+
+
+def test_phase_aligned_distance_matches_reference():
+    # k is the first index of s1's largest magnitude: the Bell and basis
+    # states tie two or four magnitudes, the Haar pairs pick it generically
+    basis = [TwoQubitState(*(1 if i == j else 0 for i in range(4)))
+             for j in range(4)]
+    bells = [bell_state(code) for code in ("00", "01", "10", "11")]
+    ties = basis + bells + [TwoQubitState(0.5, -0.5, 0.5j, -0.5j)]
+    rng = np.random.default_rng(46)
+    haar = random_states(rng, 400)
+    pairs = [(s1, s2) for s1 in ties for s2 in ties + haar[:20]]
+    pairs += [(s2, s1) for s1, s2 in pairs]
+    pairs += list(zip(haar[:200], haar[200:]))
+    pairs += [(s, reconstruct(extract(s))) for s in haar[:100]]
+    for s1, s2 in pairs:
+        assert (_distance_bits(phase_aligned_distance(s1, s2))
+                == _distance_bits(reference_phase_aligned_distance(s1, s2)))
+
+
+@pytest.mark.parametrize("tiny", [1e-310, 1e-310j, 5e-324,
+                                  3.5e-309 * (1 + 1j)])
+def test_phase_aligned_distance_subnormal_alignment_amplitude(tiny):
+    # s2 is subnormal where s1 peaks: u1 / u2 overflows (to inf, or past
+    # what abs() can return for the last one), and the distance must still
+    # be the one the reverse order gives
+    s1 = TwoQubitState(1, 0, 0, 0)
+    s2 = TwoQubitState(tiny, 1, 0, 0)
+    assert phase_aligned_distance(s2, s1) == 1.0
+    d = phase_aligned_distance(s1, s2)
+    assert math.isfinite(d)
+    assert abs(d - 1.0) <= math.ulp(1.0)
+    # the amplitude that peaks need not be the first one
+    s1 = TwoQubitState(0.6, 0.8, 0, 0)
+    s2 = TwoQubitState(0.6, 0.8j * tiny, 0.8, 0)
+    scaled = s2.beta * 2.0 ** 600  # exact, and far from subnormal
+    phase = scaled.conjugate() / abs(scaled)
+    want = max(abs(a - phase * b)
+               for a, b in zip(s1.amplitudes(), s2.amplitudes()))
+    assert abs(phase_aligned_distance(s1, s2) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("vec, exc", [
+    ((1, 0, 0), ValueError),
+    ((1, 0, 0, 0, 0), ValueError),
+    ((1, None, 0, 0), TypeError),
+    (("a", 0, 0, 0), ValueError),
+], ids=["three-entries", "five-entries", "none-entry", "malformed-string"])
+def test_from_vector_errors(vec, exc):
+    with pytest.raises(exc):
+        TwoQubitState.from_vector(vec)
 
 
 def test_quasi_density_rejects_unnormalized_pair():

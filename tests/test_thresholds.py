@@ -4,7 +4,10 @@ Each zone draws states whose b, c, sin(theta_a), |u| or |v| (q_B = u + v*j)
 lies within a few decades of EPS_ZERO, or whose 1 + x0 lies near
 EPS_DEGENERATE; the other angles are generic.  In every zone ``extract``
 must equal the Quaternion route bit for bit, so each flag fires on the same
-inputs, and every state off the south pole must round-trip.
+inputs, and every state off the south pole must round-trip.  Across the
+range bounds of the seven angles (within and beyond EPS_NUM),
+``reconstruct`` must equal ``reference_reconstruct`` bit for bit, or both
+must raise the same OutOfRange.
 """
 
 import math
@@ -15,7 +18,10 @@ from hypothesis import strategies as st
 
 from hopfbloch import BlochCoordinates, phase_aligned_distance, reconstruct
 
-from helpers import assert_extract_matches_reference
+from helpers import (
+    assert_extract_matches_reference,
+    assert_reconstruct_matches_reference,
+)
 
 PI = math.pi
 
@@ -54,3 +60,22 @@ def test_extract_across_threshold(zone, data):
     c = assert_extract_matches_reference(s)
     if c is not None:
         assert phase_aligned_distance(s, reconstruct(c)) <= 1e-9
+
+
+# each range bound 0, pi and 2*pi, hit exactly, one ulp either side, or
+# moved by up to 4 * EPS_NUM either way; NaN and inf ride along
+BOUND = st.sampled_from([0.0, PI, 2 * PI])
+NEAR_BOUND = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    BOUND,
+    BOUND.map(lambda b: math.nextafter(b, -math.inf)),
+    BOUND.map(lambda b: math.nextafter(b, math.inf)),
+    st.tuples(BOUND, st.floats(-4e-9, 4e-9)).map(sum),
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(angles=st.tuples(*(st.one_of(generic, NEAR_BOUND)
+                          for generic in GENERIC.values())))
+def test_reconstruct_matches_reference_near_range_bounds(angles):
+    assert_reconstruct_matches_reference(BlochCoordinates(*angles))
