@@ -1,16 +1,7 @@
 """Three-sphere Bloch coordinates for two-qubit pure states.
 
-The public surface: quaternion algebra (``Quaternion``, ``PureUnitQuaternion``),
-the fibration maps (``h1``, ``inverse_stereographic``, ``base_from_angles``,
-``angles_from_base``), state machinery (``TwoQubitState``, ``quasi_state``,
-``quasi_density``, ``reduced_density``, ``concurrence``,
-``partial_trace_projection``), the seven-angle conversions (``extract``,
-``reconstruct``, ``normalize_global_phase``, ``canonicalize``), and gate
-trajectories (``GateSpec``, ``gate_matrix``, ``apply``, ``trajectory``).
-The paper's alternative routes are test oracles in ``tests/helpers.py``,
-not part of the package.  numpy is imported only inside the functions that
-build arrays, so importing the package, extracting, reconstructing and
-sampling trajectories do not load it.
+README.md's Library section lists the public names below and says which
+calls load numpy.
 """
 
 from .bloch import (
@@ -32,7 +23,6 @@ from .errors import (
     OutOfRange,
     SouthPoleA,
     UnknownGate,
-    ZeroNorm,
 )
 from .gates import (
     GateKind,
@@ -45,7 +35,6 @@ from .gates import (
     trajectory,
 )
 from .hopf import (
-    NORTH_POLE,
     BaseAngles,
     CoordFlag,
     S4Point,

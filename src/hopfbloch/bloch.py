@@ -68,14 +68,6 @@ class BlochCoordinates:
                 self.theta_b, self.phi_b, self.zeta_b)
 
     @property
-    def x0(self) -> float:
-        return math.cos(self.theta_a)
-
-    @property
-    def x1(self) -> float:
-        return math.sin(self.theta_a) * math.cos(self.phi_a)
-
-    @property
     def b(self) -> float:
         """Signed: negative on the non-canonical branch."""
         return math.sin(self.theta_a) * math.sin(self.phi_a)

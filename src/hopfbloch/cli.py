@@ -232,9 +232,13 @@ def _traj_svg(traj: Trajectory) -> str:
     return svg.render_spheres([sphere_a, sphere_t, sphere_b])
 
 
+# samples per ramp; trajectory builds its whole schedule before sampling
+_MAX_RAMP_SAMPLES = 10 ** 6
+
+
 def cmd_traj(args) -> int:
-    if args.n1 < 2 or args.n2 < 2:
-        raise ParseError("--n1 and --n2 must be at least 2")
+    if not (2 <= args.n1 <= _MAX_RAMP_SAMPLES and 2 <= args.n2 <= _MAX_RAMP_SAMPLES):
+        raise ParseError(f"--n1 and --n2 must be between 2 and {_MAX_RAMP_SAMPLES}")
     gate = _make_gate(args)
     state, _ = _parse_state(args)
     traj = trajectory(gate, state, args.n1, args.n2)

@@ -5,10 +5,6 @@ class HopfBlochError(Exception):
     """Base class for all domain errors in this package."""
 
 
-class ZeroNorm(HopfBlochError):
-    """Inverting a quaternion whose norm is numerically zero."""
-
-
 class NotPureUnit(HopfBlochError):
     """A quaternion expected to be pure (zero real part) and unit-norm is not."""
 

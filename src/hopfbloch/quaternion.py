@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotPureUnit, ZeroNorm
+from .errors import NotPureUnit
 from .tolerances import EPS_UNIT, EPS_ZERO
 
 TWO_PI = 2.0 * math.pi
@@ -95,16 +95,6 @@ class Quaternion:
         return math.sqrt(self.norm_squared())
 
     __abs__ = norm
-
-    def inverse(self) -> "Quaternion":
-        """Multiplicative inverse conj(q) / |q|^2.
-
-        Raises ZeroNorm when |q| <= 1e-12.
-        """
-        n2 = self.norm_squared()
-        if n2 <= EPS_ZERO * EPS_ZERO:
-            raise ZeroNorm(f"cannot invert quaternion with norm {math.sqrt(n2):.3e}")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

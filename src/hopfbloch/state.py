@@ -37,7 +37,9 @@ class TwoQubitState:
     """Unit-normalized amplitudes of |00>, |01>, |10>, |11>.
 
     Inputs within 1e-6 of unit norm are renormalized silently; anything
-    further off raises NotNormalized.
+    further off raises NotNormalized.  Inputs already at unit norm are
+    stored as given, ints and floats included: TwoQubitState(1, 0, 0, 0)
+    keeps the int 1.  from_vector and reconstruct store complex amplitudes.
     """
 
     alpha: complex

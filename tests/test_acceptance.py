@@ -59,8 +59,8 @@ def test_criterion_1_bell_table():
     }
     for code, want in expected.items():
         c = extract(bell_state(code))
-        assert abs(c.x0) <= 1e-9, code
-        assert abs(c.x1) <= 1e-9, code
+        assert abs(c.s4_point.x0) <= 1e-9, code
+        assert abs(c.s4_point.x1) <= 1e-9, code
         assert abs(c.b - 1.0) <= 1e-9, code
         t = c.t
         for got, target in zip((t.tx, t.ty, t.tz), want["t"]):

@@ -65,7 +65,7 @@ def test_extract_bell_states():
     for code, (angles, t_dir) in BELL_TABLE.items():
         c = extract(bell_state(code))
         assert_angles(c, angles)
-        assert abs(c.x0) <= 1e-9 and abs(c.x1) <= 1e-9
+        assert abs(c.s4_point.x0) <= 1e-9 and abs(c.s4_point.x1) <= 1e-9
         assert abs(c.b - 1.0) <= 1e-9
         t = c.t
         assert max(abs(t.tx - t_dir[0]), abs(t.ty - t_dir[1]),
@@ -303,8 +303,8 @@ def test_shortcut_base_matches_extraction_route():
     for s in random_states(rng, 500):
         sc = shortcut_base(s)
         c = extract(s)
-        assert abs(sc.x0 - c.x0) <= 1e-9
-        assert abs(sc.x1 - c.x1) <= 1e-9
+        assert abs(sc.x0 - c.s4_point.x0) <= 1e-9
+        assert abs(sc.x1 - c.s4_point.x1) <= 1e-9
         assert abs(sc.b - abs(c.b)) <= 1e-9
         if CoordFlag.T_UNDEFINED not in sc.flags:
             t = c.t
@@ -342,7 +342,7 @@ def test_pauli_form_of_quasi_density():
         c = extract(s)
         rho = quasi_density(quasi_state(s))
         tq = c.t.as_quaternion()
-        n1, nb, n0 = c.x1, c.b, c.x0
+        n1, nb, n0 = c.s4_point.x1, c.b, c.s4_point.x0
         want00 = Quaternion(0.5 * (1 + n0), 0, 0, 0)
         want11 = Quaternion(0.5 * (1 - n0), 0, 0, 0)
         want01 = Quaternion(0.5 * n1, 0, 0, 0) + (-0.5 * nb) * tq

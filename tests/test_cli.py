@@ -277,9 +277,12 @@ def test_check_env_seed_override(capsys, monkeypatch):
 
 
 def test_traj_small_sample_counts_rejected(capsys):
-    code, out = run(capsys, ["traj", "cz", "--bell", "00", "--n1", "1"])
-    assert code == 2
-    assert json.loads(out)["error"] == "parse"
+    # below 2 or above 10**6 per ramp: rejected before any sample is built
+    for flag, count in (("--n1", "1"), ("--n2", "1"), ("--n1", "1000001"),
+                        ("--n2", "1000001"), ("--n1", "100000000000000000000")):
+        code, out = run(capsys, ["traj", "cz", "--bell", "00", flag, count])
+        assert code == 2, (flag, count)
+        assert json.loads(out)["error"] == "parse"
 
 
 def test_non_finite_state_rejected(capsys):

@@ -6,7 +6,6 @@ import pytest
 from hopfbloch import (
     CoordFlag,
     FiberAtInfinity,
-    NORTH_POLE,
     NotNormalized,
     OffSphere,
     Quaternion,
@@ -16,6 +15,7 @@ from hopfbloch import (
     h1,
     inverse_stereographic,
 )
+from hopfbloch.hopf import NORTH_POLE
 from hopfbloch.quaternion import J, angle_distance
 
 from helpers import SQ2, NorthPole, random_quaternion, stereographic

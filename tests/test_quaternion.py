@@ -7,7 +7,6 @@ from hopfbloch import (
     NotPureUnit,
     PureUnitQuaternion,
     Quaternion,
-    ZeroNorm,
     angle_distance,
     exp_pure,
     from_complex_pair,
@@ -67,29 +66,6 @@ def test_associativity_on_unit_scale():
         lhs = (p * q) * r
         rhs = p * (q * r)
         assert quaternion_close(lhs, rhs, tol=1e-12)
-
-
-def test_inverse_examples():
-    assert J.inverse() == -J
-    assert Quaternion(2, 0, 0, 0).inverse() == Quaternion(0.5, 0, 0, 0)
-    inv = (ONE + I).inverse()
-    assert quaternion_close(inv, Quaternion(0.5, -0.5, 0, 0))
-    assert quaternion_close((ONE + I) * inv, ONE)
-
-
-def test_inverse_of_random_is_right_and_left():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        q = random_quaternion(rng)
-        assert quaternion_close(q * q.inverse(), ONE, tol=1e-12)
-        assert quaternion_close(q.inverse() * q, ONE, tol=1e-12)
-
-
-def test_inverse_zero_norm_raises():
-    with pytest.raises(ZeroNorm):
-        Quaternion(0, 0, 0, 0).inverse()
-    with pytest.raises(ZeroNorm):
-        Quaternion(1e-13, 0, 0, 0).inverse()
 
 
 def test_exp_pure_examples():
