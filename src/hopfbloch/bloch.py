@@ -147,8 +147,8 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     # Every product and sum is the one of the Quaternion route (exp_pure,
     # Quaternion.__mul__ and __add__, to_complex_pair), operands in the same
     # order, which keeps the results bit-identical to it.
-    # (x0 can land one ulp outside [-1, 1])
-    ch = math.sqrt(max(0.0, 0.5 * (1.0 + x0)))
+    # (x0 can land one ulp above 1; near -1 _base_coords has raised)
+    ch = math.sqrt(0.5 * (1.0 + x0))
     sh = math.sqrt(max(0.0, 0.5 * (1.0 - x0)))
     # t is _sphere_point(chi, xi), written out here to spare a call
     sc = math.sin(chi)

@@ -1,7 +1,8 @@
 """Command-line front end: state <-> coordinates conversion, gate
 trajectories, and an invariant check sweep.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 unknown gate.
+Exit codes: 0 success, 1 stdout closed early (a broken pipe), 2 parse
+error, 3 domain error, 4 unknown gate.
 All numbers are emitted with 12 significant digits so identical inputs
 produce byte-identical output.
 """
@@ -140,8 +141,6 @@ def cmd_coords(args) -> int:
     coords = extract(state)
     if args.fix_phase:
         coords = normalize_global_phase(coords)
-    if args.canonical:
-        coords = canonicalize(coords)
     _emit(_coords_record(coords, label))
     return 0
 
@@ -226,8 +225,7 @@ def _traj_svg(traj: Trajectory) -> str:
     for smp in traj.samples:
         c = smp.coords
         sphere_a.append(_sphere_point(c.theta_a, c.phi_a))
-        t = c.t
-        sphere_t.append((t.tx, t.ty, t.tz))
+        sphere_t.append(_sphere_point(c.chi, c.xi))
         sphere_b.append(c.qubit_b_vector)
     return svg.render_spheres([sphere_a, sphere_t, sphere_b])
 
@@ -354,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_args(p):
-        p.add_argument("--state",
-                       help="amplitudes as 're,im;re,im;re,im;re,im' (use the "
-                            "--state=... form when the first value is negative)")
-        p.add_argument("--bell", help="Bell preset: 00, 01, 10 or 11")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--state",
+                           help="amplitudes as 're,im;re,im;re,im;re,im' (use the "
+                                "--state=... form when the first value is negative)")
+        group.add_argument("--bell", help="Bell preset: 00, 01, 10 or 11")
 
     p_coords = sub.add_parser("coords", help="state -> seven angles")
     add_state_args(p_coords)
@@ -411,13 +410,13 @@ _ERRORS = (
 )
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # only --help exits: argparse printed the help text
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     except SouthPoleA as exc:
         _emit(_south_pole_payload(exc))
         return 3
@@ -426,6 +425,21 @@ def main(argv=None) -> int:
                           if isinstance(exc, cls))
         _emit({"error": kind, "message": str(exc)})
         return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send what is still buffered
+        # to devnull, so the flush at exit does not fail again, and exit 1
+        # as the Python docs' SIGPIPE recipe does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

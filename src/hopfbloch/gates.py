@@ -76,12 +76,6 @@ class GateSpec:
         ax = tuple(float(a) for a in axis)
         return cls(GateKind.CONTROLLED_U, ax, eta, omega)
 
-    @property
-    def block_indices(self) -> tuple[int, int]:
-        if self.kind is GateKind.SWAP:
-            return 1, 2
-        return 2, 3
-
 
 class Stage(Enum):
     PHASE_RAMP = "phase"
@@ -113,7 +107,6 @@ class TrajectorySample:
 class Trajectory:
     gate: GateSpec
     samples: tuple[TrajectorySample, ...]
-    final_state: TwoQubitState
 
 
 def _apply(g: GateSpec, eta: float, omega: float,
@@ -130,7 +123,7 @@ def _apply(g: GateSpec, eta: float, omega: float,
     m10 = ph * complex(sn * ny, -sn * nx)
     m11 = ph * complex(c, sn * nz)
     v = list(s.amplitudes())
-    i, j = g.block_indices
+    i, j = (1, 2) if g.kind is GateKind.SWAP else (2, 3)
     v[i], v[j] = m00 * v[i] + m01 * v[j], m10 * v[i] + m11 * v[j]
     return TwoQubitState(*v)
 
@@ -190,5 +183,5 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         prev = coords
         prev_alt = use_alt
 
-    return Trajectory(g, tuple(samples), samples[-1].state)
+    return Trajectory(g, tuple(samples))
 

@@ -30,12 +30,8 @@ class CoordFlag(Enum):
     THETA_B_PI_AMBIGUOUS = "theta_b_pi_ambiguous"  # zeta_B pinned to 0
 
 
-def _norm_squared(x0: float, x1: float, x2: float, x3: float, x4: float) -> float:
-    return x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-
-
 def _validate(x0: float, x1: float, x2: float, x3: float, x4: float) -> None:
-    err = abs(_norm_squared(x0, x1, x2, x3, x4) - 1.0)
+    err = abs(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - 1.0)
     if not (err <= EPS_UNIT):  # negated so a NaN norm is rejected too
         raise OffSphere(f"coordinates off the unit 4-sphere by {err:.3e}")
 
@@ -67,9 +63,6 @@ class S4Point:
     @property
     def c(self) -> float:
         return math.hypot(self.x2, self.x3)
-
-    def norm_squared(self) -> float:
-        return _norm_squared(self.x0, self.x1, self.x2, self.x3, self.x4)
 
     def validate(self) -> None:
         _validate(self.x0, self.x1, self.x2, self.x3, self.x4)

@@ -94,8 +94,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    __abs__ = norm
-
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)

@@ -463,6 +463,11 @@ def test_extract_matches_quaternion_route_exactly():
         if c is None:
             south_pole += 1
             continue
+        # --canonical rests on these: the extracted branch and its
+        # phase-normalized form are both canonicalize's fixed points
+        assert canonicalize(c) is c
+        n = normalize_global_phase(c)
+        assert canonicalize(n) is n
         # q_B from the fiber angles: u = cos(theta_b/2) e^(k zeta_b),
         # v = sin(theta_b/2) e^(k (phi_b - zeta_b))
         u = math.cos(c.theta_b / 2) * cmath.exp(1j * c.zeta_b)

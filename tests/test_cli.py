@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import json
 import math
 import os
@@ -328,12 +329,14 @@ def test_traj_with_south_pole_samples(capsys):
     (["check", "--count", "3", "--tolerance=inf"], {}),
     (["check", "--count", "1000000000000000"], {}),
     (["check", "--count", "99999999999999999999"], {}),
+    (["coords", "--bell", "00", "--state=1,0;0,0;0,0;0,0"], {}),
 ], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
         "negative-seed", "negative-seed-env", "short-axis", "short-angles",
         "bad-angle", "short-amplitude", "bad-amplitude", "bad-seed",
         "bad-n1", "bad-format", "unknown-option", "no-command",
         "nan-tolerance", "negative-tolerance", "zero-tolerance",
-        "inf-tolerance", "unallocatable-count", "unshapeable-count"])
+        "inf-tolerance", "unallocatable-count", "unshapeable-count",
+        "state-and-bell"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():
@@ -517,3 +520,34 @@ def test_numpy_free_commands_never_import_numpy():
     for step, code, numpy_loaded in free:
         assert (step, code, numpy_loaded) == (step, 0, False)
     assert control == ["check --count 3", 0, True]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_1_without_traceback(fmt):
+    # megabytes of output; the reader keeps one byte and closes the pipe
+    argv = ["traj", "cz", "--bell", "00", "--n1", "2000", "--n2", "2000",
+            "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
+    # unbuffered, a text write that the closed pipe cuts short drops the
+    # rest without an error, so nothing would be tested
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "hopfbloch.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == (b"{" if fmt == "json" else b"s")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == ""
+
+
+def test_closed_stdout_in_process_keeps_the_host_stdout(capsys):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as pipe:
+        with contextlib.redirect_stdout(pipe):
+            assert main(["coords", "--bell", "00"]) == 1
+        # only the closed pipe's descriptor moved to devnull
+        pipe.write("dropped")
+    print("host")
+    assert capsys.readouterr().out == "host\n"
