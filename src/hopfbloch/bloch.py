@@ -93,17 +93,25 @@ class BlochCoordinates:
  _set_zeta_b, _set_flags) = _slot_setters(BlochCoordinates)
 
 
+# bound once for the per-sample path (see hopf._PHI_A_FLAGS)
+_T_UNDEFINED = CoordFlag.T_UNDEFINED
+_XI_UNDEFINED = CoordFlag.XI_UNDEFINED
+_THETA_B_PI_FLAGS = (CoordFlag.THETA_B_PI_AMBIGUOUS,)
+_PHI_B_FLAGS = (CoordFlag.PHI_B_UNDEFINED,)
+_SOUTH_POLE_FLAGS = (CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
+                     _T_UNDEFINED, _XI_UNDEFINED)
+
+
 def _fiber_angles(u: complex, v: complex) -> tuple[float, float, float, tuple]:
     """(theta_b, phi_b, zeta_b, flags) from the complex split of q_B."""
     au, av = abs(u), abs(v)
     theta_b = 2.0 * math.atan2(av, au)
     if au <= EPS_ZERO:
         # theta_b ~ pi: phi_b and zeta_b are interchangeable; pin zeta_b = 0
-        return (theta_b, wrap_angle(cmath.phase(v)), 0.0,
-                (CoordFlag.THETA_B_PI_AMBIGUOUS,))
+        return theta_b, wrap_angle(cmath.phase(v)), 0.0, _THETA_B_PI_FLAGS
     zeta_b = wrap_angle(cmath.phase(u))
     if av <= EPS_ZERO:
-        return theta_b, 0.0, zeta_b, (CoordFlag.PHI_B_UNDEFINED,)
+        return theta_b, 0.0, zeta_b, _PHI_B_FLAGS
     return theta_b, wrap_angle(cmath.phase(v) + zeta_b), zeta_b, ()
 
 
@@ -111,10 +119,8 @@ def south_pole_coords(exc: SouthPoleA) -> BlochCoordinates:
     """Conventional coordinates for a |1>_A (x) |psi_B> state."""
     u, v = exc.psi_b
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
-    flags = (CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_A_UNDEFINED,
-             CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED) + fiber_flags
     return BlochCoordinates(math.pi, 0.0, 0.0, 0.0, theta_b, phi_b, zeta_b,
-                            frozenset(flags))
+                            frozenset(_SOUTH_POLE_FLAGS + fiber_flags))
 
 
 def _base_coords(a: complex, b: complex, g: complex,
@@ -149,7 +155,9 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     # order, which keeps the results bit-identical to it.
     # (x0 can land one ulp above 1; near -1 _base_coords has raised)
     ch = math.sqrt(0.5 * (1.0 + x0))
-    sh = math.sqrt(max(0.0, 0.5 * (1.0 - x0)))
+    # max(0.0, h) as a comparison: max keeps 0.0 unless h > 0.0
+    h = 0.5 * (1.0 - x0)
+    sh = math.sqrt(h if h > 0.0 else 0.0)
     # t is _sphere_point(chi, xi), written out here to spare a call
     sc = math.sin(chi)
     tx, ty, tz = sc * math.cos(xi), sc * math.sin(xi), math.cos(chi)
@@ -232,7 +240,7 @@ def normalize_global_phase(c: BlochCoordinates) -> BlochCoordinates:
 def _flipped_angles(c: BlochCoordinates) -> tuple[float, float, float]:
     """(phi_a, chi, xi) after (b, t) -> (-b, -t): phi_a reflects, t passes
     to its antipode."""
-    xi = c.xi if CoordFlag.XI_UNDEFINED in c.flags else wrap_angle(c.xi + math.pi)
+    xi = c.xi if _XI_UNDEFINED in c.flags else wrap_angle(c.xi + math.pi)
     return wrap_angle(-c.phi_a), math.pi - c.chi, xi
 
 
@@ -244,7 +252,7 @@ def _flip_branch(c: BlochCoordinates) -> BlochCoordinates:
 
 def _has_twin(c: BlochCoordinates) -> bool:
     """False when b ~ 0, where (-b, -t) names no other point."""
-    return not (CoordFlag.T_UNDEFINED in c.flags or abs(c.b) <= EPS_ZERO)
+    return not (_T_UNDEFINED in c.flags or abs(c.b) <= EPS_ZERO)
 
 
 def alternate(c: BlochCoordinates) -> BlochCoordinates:
@@ -276,19 +284,28 @@ def _nearer_branch(c: BlochCoordinates,
     twin shares theta_a, theta_b, phi_b and zeta_b with c, so those four
     distances are taken once.  Both sums keep coords_distance's
     left-to-right order, so ties resolve as they do through it.
+
+    The twin's three own distances (phi_a, chi, xi) come first.  If none is
+    smaller than c's, c is returned without the four shared ones: rounded
+    addition is monotone, so each partial sum of the twin's is then >= the
+    matching one of c's, and twin < canon cannot hold.  A NaN distance fails
+    that test and goes on to the full comparison.
     """
     if not _has_twin(c):
         return c
     phi_a, chi, xi = _flipped_angles(c)
+    t_phi_a = _wrapped_distance(phi_a, prev.phi_a)
+    t_chi = _wrapped_distance(chi, prev.chi)
+    t_xi = _wrapped_distance(xi, prev.xi)
+    c_phi_a = _wrapped_distance(c.phi_a, prev.phi_a)
+    c_chi = _wrapped_distance(c.chi, prev.chi)
+    c_xi = _wrapped_distance(c.xi, prev.xi)
+    if t_phi_a >= c_phi_a and t_chi >= c_chi and t_xi >= c_xi:
+        return c
     d_theta_a = _wrapped_distance(c.theta_a, prev.theta_a)
     d_theta_b = _wrapped_distance(c.theta_b, prev.theta_b)
     d_phi_b = _wrapped_distance(c.phi_b, prev.phi_b)
     d_zeta_b = _wrapped_distance(c.zeta_b, prev.zeta_b)
-    twin = (d_theta_a + _wrapped_distance(phi_a, prev.phi_a)
-            + _wrapped_distance(chi, prev.chi) + _wrapped_distance(xi, prev.xi)
-            + d_theta_b + d_phi_b + d_zeta_b)
-    canon = (d_theta_a + _wrapped_distance(c.phi_a, prev.phi_a)
-             + _wrapped_distance(c.chi, prev.chi)
-             + _wrapped_distance(c.xi, prev.xi)
-             + d_theta_b + d_phi_b + d_zeta_b)
+    twin = d_theta_a + t_phi_a + t_chi + t_xi + d_theta_b + d_phi_b + d_zeta_b
+    canon = d_theta_a + c_phi_a + c_chi + c_xi + d_theta_b + d_phi_b + d_zeta_b
     return _flip_branch(c) if twin < canon else c

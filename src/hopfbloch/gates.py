@@ -82,6 +82,12 @@ class Stage(Enum):
     ROTATION_RAMP = "rotation"
 
 
+# bound once for the per-sample path (see hopf._PHI_A_FLAGS)
+_SWAP = GateKind.SWAP
+_PHASE_RAMP = Stage.PHASE_RAMP
+_ROTATION_RAMP = Stage.ROTATION_RAMP
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class TrajectorySample:
     stage: Stage
@@ -122,10 +128,12 @@ def _apply(g: GateSpec, eta: float, omega: float,
     m01 = ph * complex(-sn * ny, -sn * nx)
     m10 = ph * complex(sn * ny, -sn * nx)
     m11 = ph * complex(c, sn * nz)
-    v = list(s.amplitudes())
-    i, j = (1, 2) if g.kind is GateKind.SWAP else (2, 3)
-    v[i], v[j] = m00 * v[i] + m01 * v[j], m10 * v[i] + m11 * v[j]
-    return TwoQubitState(*v)
+    alpha, beta, gamma, delta = s.alpha, s.beta, s.gamma, s.delta
+    if g.kind is _SWAP:
+        return TwoQubitState(alpha, m00 * beta + m01 * gamma,
+                             m10 * beta + m11 * gamma, delta)
+    return TwoQubitState(alpha, beta, m00 * gamma + m01 * delta,
+                         m10 * gamma + m11 * delta)
 
 
 def apply(g: GateSpec, s: TwoQubitState) -> TwoQubitState:
@@ -158,9 +166,9 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         raise OutOfRange(f"the sweep of eta = {g.eta!r} over n1 = {n1} or of "
                          f"omega = {g.omega!r} over n2 = {n2} samples "
                          "overflows a float")
-    schedule = [(Stage.PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
+    schedule = [(_PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
                 for i in range(n1)]
-    schedule += [(Stage.ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
+    schedule += [(_ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
                  for i in range(n2)]
 
     samples = []

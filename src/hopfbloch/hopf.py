@@ -29,6 +29,20 @@ class CoordFlag(Enum):
     SOUTH_POLE_A = "south_pole_a"            # |1>_A (x) |psi_B> exception
     THETA_B_PI_AMBIGUOUS = "theta_b_pi_ambiguous"  # zeta_B pinned to 0
 
+    # Enum.__hash__ is the Python-level hash(self._name_); members are
+    # singletons compared by identity, so the C-level identity hash leaves
+    # every set and dict result unchanged (only frozenset iteration order
+    # moves, and every printed flag list is sorted)
+    __hash__ = object.__hash__
+
+
+# members and flag tuples that the per-sample path reads, bound once: on
+# Python 3.11 each Enum member lookup such as CoordFlag.X runs
+# EnumType.__getattr__
+_PHI_A_FLAGS = (CoordFlag.PHI_A_UNDEFINED,)
+_T_FLAGS = (CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED)
+_XI_FLAGS = (CoordFlag.XI_UNDEFINED,)
+
 
 def _validate(x0: float, x1: float, x2: float, x3: float, x4: float) -> None:
     err = abs(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - 1.0)
@@ -149,15 +163,14 @@ def _base_angles(x0: float, x1: float, x2: float, x3: float,
 
     if st <= EPS_ZERO:
         phi = 0.0
-        flags = (CoordFlag.PHI_A_UNDEFINED,)
+        flags = _PHI_A_FLAGS
     else:
         phi = math.atan2(b, x1)  # b >= 0 keeps phi in [0, pi]
 
     if b <= EPS_ZERO:
-        return (theta, phi, 0.0, 0.0,
-                flags + (CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED))
+        return theta, phi, 0.0, 0.0, flags + _T_FLAGS
     c = math.hypot(x2, x3)
     chi = math.atan2(c, x4)
     if c <= EPS_ZERO:
-        return theta, phi, chi, 0.0, flags + (CoordFlag.XI_UNDEFINED,)
+        return theta, phi, chi, 0.0, flags + _XI_FLAGS
     return theta, phi, chi, wrap_angle(math.atan2(x3, x2)), flags

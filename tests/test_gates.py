@@ -22,7 +22,12 @@ from hopfbloch import (
     phase_aligned_distance,
     trajectory,
 )
-from hopfbloch.bloch import alternate, coords_distance, south_pole_coords
+from hopfbloch.bloch import (
+    _nearer_branch,
+    alternate,
+    coords_distance,
+    south_pole_coords,
+)
 from hopfbloch.gates import Trajectory, TrajectorySample
 from hopfbloch.quaternion import angle_distance
 
@@ -382,3 +387,41 @@ def test_extract_matches_quaternion_route_on_trajectory_samples():
                 south_pole += assert_extract_matches_reference(smp.state) is None
     assert samples == len(gates) * len(states) * 24
     assert south_pole > 0
+
+
+def test_nearer_branch_on_emitted_consecutive_pairs():
+    # c is each sample's canonical extraction and prev the coordinates the
+    # trajectory emitted one sample earlier: the pairs _nearer_branch meets
+    rejects = kept = twins = 0
+    gates, states = reference_loop_pool()
+    for g in gates:
+        for s in states:
+            samples = trajectory(g, s, 32, 32).samples
+            for prev, smp in zip(samples, samples[1:]):
+                if CoordFlag.SOUTH_POLE_A in smp.coords.flags:
+                    continue
+                c = extract(smp.state)
+                got = _nearer_branch(c, prev.coords)
+                assert got == smp.coords
+                twin = alternate(c)
+                if twin is c:
+                    assert got is c
+                    continue
+                # coords_distance's rule: the twin only when strictly closer
+                closer = (coords_distance(twin, prev.coords)
+                          < coords_distance(c, prev.coords))
+                assert got == (twin if closer else c)
+                # the fast reject: none of the twin's own distances is smaller
+                own = [(angle_distance(t, p), angle_distance(a, p))
+                       for t, a, p in zip(
+                           (twin.phi_a, twin.chi, twin.xi),
+                           (c.phi_a, c.chi, c.xi),
+                           (prev.coords.phi_a, prev.coords.chi, prev.coords.xi))]
+                if all(dt >= dc for dt, dc in own):
+                    assert got is c
+                    rejects += 1
+                elif closer:
+                    twins += 1
+                else:
+                    kept += 1
+    assert rejects > 0 and kept > 0 and twins > 0

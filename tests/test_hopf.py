@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -197,3 +199,21 @@ def test_point_angle_composition_on_random_points():
         got = angles_from_base(p)
         back = base_from_angles(got.theta, got.phi, got.chi, got.xi)
         assert s4_close(back, p)
+
+
+def test_coord_flag_sets_under_the_identity_hash():
+    # CoordFlag hashes by identity; members are singletons, so membership,
+    # dict lookup and copies behave as under Enum's name hash
+    every = frozenset(CoordFlag)
+    assert len(every) == 6
+    table = {flag: flag.value for flag in CoordFlag}
+    for flag in CoordFlag:
+        assert CoordFlag(flag.value) in every
+        assert table[CoordFlag(flag.value)] == flag.value
+    assert frozenset({CoordFlag.T_UNDEFINED, CoordFlag.XI_UNDEFINED}) == {
+        CoordFlag("xi_undefined"), CoordFlag("t_undefined")}
+    flags = frozenset({CoordFlag.SOUTH_POLE_A, CoordFlag.PHI_B_UNDEFINED})
+    for again in (pickle.loads(pickle.dumps(flags)), copy.deepcopy(flags)):
+        assert again == flags
+        assert hash(again) == hash(flags)
+        assert {id(f) for f in again} == {id(f) for f in flags}  # singletons

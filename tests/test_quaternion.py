@@ -13,7 +13,7 @@ from hopfbloch import (
     to_complex_pair,
     wrap_angle,
 )
-from hopfbloch.quaternion import I, J, K, ONE
+from hopfbloch.quaternion import TWO_PI, I, J, K, ONE, _wrapped_distance
 
 from helpers import NotUnit, conjugate_rotate, quaternion_close, random_quaternion
 
@@ -196,3 +196,25 @@ def test_wrap_angle_range():
         assert 0.0 <= w < 2 * math.pi
     assert wrap_angle(2 * math.pi) == 0.0
     assert angle_distance(0.0, 2 * math.pi - 1e-12) <= 2e-12
+
+
+def test_wrapped_distance_matches_builtin_min_bit_for_bit():
+    # _wrapped_distance spells min(d, TWO_PI - d) as a comparison; the two
+    # must agree on every bit, signed zeros and NaN included
+    def builtin_min(a, b):
+        d = abs(a - b)
+        return min(d, TWO_PI - d)
+
+    def same_bits(x, y):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+    rng = np.random.default_rng(61)
+    pairs = [tuple(p) for p in rng.uniform(0.0, TWO_PI, size=(10**5, 2)).tolist()]
+    special = (0.0, -0.0, math.pi, math.nextafter(TWO_PI, 0.0), math.nan)
+    pairs += [(a, b) for a in special for b in special]
+    pairs += [pair for a in special for r, _ in pairs[:100]
+              for pair in ((a, r), (r, a))]
+    for a, b in pairs:
+        assert same_bits(_wrapped_distance(a, b), builtin_min(a, b)), (a, b)

@@ -1,0 +1,51 @@
+"""The per-sample path of ``trajectory`` calls no builtin min or max and
+looks up no Enum member by attribute: on Python 3.11 each of those runs as
+Python code (the builtin call's argument handling, EnumType.__getattr__)
+where a comparison or a module-level name runs in C."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
+
+HOT = {
+    "quaternion": ("_wrapped_distance",),
+    "hopf": ("_base_angles",),
+    "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
+              "_flipped_angles", "_nearer_branch"),
+    "gates": ("_apply", "trajectory"),
+}
+BUILTINS = {"min", "max"}
+ENUMS = {"CoordFlag", "GateKind", "Stage"}
+
+
+def _functions(module):
+    """name -> module-level function definition, in src/<module>.py."""
+    body = ast.parse((SRC / f"{module}.py").read_text()).body
+    return {node.name: node for node in body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _slow_reads(function):
+    """Each min/max call and each Enum attribute read in function."""
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in BUILTINS):
+            yield f"{node.func.id}() at line {node.lineno}"
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ENUMS):
+            yield f"{node.value.id}.{node.attr} at line {node.lineno}"
+
+
+def test_hot_path_functions_exist():
+    for module, names in HOT.items():
+        assert set(names) <= set(_functions(module)), module
+
+
+def test_hot_path_calls_no_min_max_and_reads_no_enum_attribute():
+    found = [f"{module}.{name}: {read}"
+             for module, names in HOT.items()
+             for name, function in _functions(module).items() if name in names
+             for read in _slow_reads(function)]
+    assert found == []
