@@ -25,12 +25,13 @@ from .hopf import CoordFlag, S4Point, _base_angles, base_from_angles
 from .quaternion import (
     TWO_PI,
     PureUnitQuaternion,
+    _slot_setters,
     _sphere_point,
     _wrapped_distance,
     angle_distance,
     wrap_angle,
 )
-from .state import TwoQubitState, _slot_setters
+from .state import TwoQubitState
 from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
 
 

@@ -10,10 +10,12 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import svg
 from .bloch import (
@@ -47,6 +49,9 @@ from .state import (
     reduced_density,
 )
 from .tolerances import EPS_NUM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParseError(Exception):
@@ -259,17 +264,18 @@ def _nan_max(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _deviations(s: TwoQubitState, raw_fiber) -> tuple[float, ...]:
-    """The state's deviation from each of _INVARIANTS, in that order;
-    raw_fiber / |raw_fiber| is the fiber element for fiber_invariance."""
-    import numpy as np
+def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
+    """The state's deviation from each of _INVARIANTS but reduced_vs_oracle,
+    in that order, and the three 2x2 matrices that _check_table compares
+    with its dense oracle for reduced_vs_oracle; fib is the unit fiber
+    element for fiber_invariance."""
     coords = extract(s)
     round_trip = phase_aligned_distance(s, reconstruct(coords))
 
     c, _ = concurrence(s)
     conc = [abs(c - coords.concurrence)]
     if CoordFlag.XI_UNDEFINED not in coords.flags:
-        claim = c * np.exp(1j * (coords.xi - 0.5 * math.pi))
+        claim = c * cmath.exp(1j * (coords.xi - 0.5 * math.pi))
         det2 = 2.0 * (s.alpha * s.delta - s.beta * s.gamma)
         conc.append(abs(claim - det2))
 
@@ -281,18 +287,11 @@ def _deviations(s: TwoQubitState, raw_fiber) -> tuple[float, ...]:
                             for e1, e2 in zip(sq.entries(), rho.entries())])
 
     p = coords.s4_point
-    vec = s.vector
-    dense = np.outer(vec, vec.conj()).reshape(2, 2, 2, 2)
-    dense_a = np.trace(dense, axis1=1, axis2=3)
-    dense_b = np.trace(dense, axis1=0, axis2=2)
-    reduced = _nan_max(float(np.max(np.abs(got - oracle))) for got, oracle in (
-        (reduced_density(s, Basis.A), dense_a),
-        (reduced_density(s, Basis.B), dense_b),
-        (partial_trace_projection(p), dense_a)))
+    reduced = (reduced_density(s, Basis.A), reduced_density(s, Basis.B),
+               partial_trace_projection(p))
 
     ball = abs(p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2 - 1.0)
 
-    fib = Quaternion(*(raw_fiber / np.linalg.norm(raw_fiber)))
     try:
         base = inverse_stereographic(h1(qs.q0, qs.q1))
         moved = inverse_stereographic(h1(qs.q0 * fib, qs.q1 * fib))
@@ -303,7 +302,67 @@ def _deviations(s: TwoQubitState, raw_fiber) -> tuple[float, ...]:
         # q1 = 0: every fiber element maps to the north pole, so there is
         # nothing to compare
         fiber = 0.0
-    return (round_trip, _nan_max(conc), projector, reduced, ball, fiber)
+    return (round_trip, _nan_max(conc), projector, ball, fiber), reduced
+
+
+def _reduced_vs_oracle(states: list[TwoQubitState],
+                       got: np.ndarray) -> np.ndarray:
+    """Each state's deviation for reduced_vs_oracle: the largest entry
+    difference between its three 2x2 matrices in `got` (states, 3, 2, 2)
+    and the partial traces A, B and A of the dense |psi><psi|.  np.max
+    propagates NaN, so a NaN deviation fails its invariant."""
+    import numpy as np
+    vec = np.array([s.amplitudes() for s in states], dtype=complex)
+    dense = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
+    dense_a = np.trace(dense, axis1=2, axis2=4)
+    dense_b = np.trace(dense, axis1=1, axis2=3)
+    oracle = np.stack((dense_a, dense_b, dense_a), axis=1)
+    return np.abs(got - oracle).max(axis=(2, 3)).max(axis=1)
+
+
+# states per block of the check sweep: the dense oracle's arrays grow with
+# the block, so memory stays flat in --count
+_CHECK_BLOCK = 128
+
+
+def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
+                 count: int) -> np.ndarray:
+    """Row i holds the i-th swept state's deviation from each of
+    _INVARIANTS: `state` alone when given, else `count` random states.
+
+    rng draws the (count, 8) table of random amplitudes first, then one
+    4-vector per state for its fiber element.  numpy works once per block
+    of states: the normalisation and the dense oracle of reduced_vs_oracle.
+    """
+    import numpy as np
+    if state is None:
+        try:
+            raw = rng.normal(size=(count, 8))
+        except (MemoryError, ValueError) as exc:
+            raise ParseError(f"--count {count} is too large: {exc}") from None
+    else:
+        count = 1
+    table = np.empty((count, len(_INVARIANTS)))
+    for lo in range(0, count, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, count)
+        if state is None:
+            vecs = raw[lo:hi, 0::2] + 1j * raw[lo:hi, 1::2]
+            # one norm per row: BLAS sums a whole array in another order
+            norms = np.array([np.linalg.norm(vec) for vec in vecs])
+            states = [TwoQubitState(*amps)
+                      for amps in (vecs / norms[:, None]).tolist()]
+        else:
+            states = [state]
+        rows = []
+        got = np.empty((hi - lo, 3, 2, 2), dtype=complex)
+        for i, s in enumerate(states):
+            raw_fiber = rng.normal(size=4)
+            fib = Quaternion(*(raw_fiber / np.linalg.norm(raw_fiber)).tolist())
+            row, got[i] = _deviations(s, fib)
+            rows.append(row)
+        table[lo:hi, [0, 1, 2, 4, 5]] = rows  # all but reduced_vs_oracle
+        table[lo:hi, 3] = _reduced_vs_oracle(states, got)
+    return table
 
 
 def cmd_check(args) -> int:
@@ -323,24 +382,19 @@ def cmd_check(args) -> int:
         raise ParseError(f"--tolerance must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
 
+    state = None
     if args.state is not None or args.bell is not None:
-        states = [_parse_state(args)[0]]
+        state = _parse_state(args)[0]
     elif args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
-    else:
-        try:
-            raw = rng.normal(size=(args.count, 8))
-        except (MemoryError, ValueError) as exc:
-            raise ParseError(f"--count {args.count} is too large: {exc}") from None
-        states = [TwoQubitState.from_vector(vec / np.linalg.norm(vec))
-                  for vec in raw[:, 0::2] + 1j * raw[:, 1::2]]
+    table = _check_table(rng, state, args.count)
 
     # NaN-propagating, so a NaN deviation fails its invariant
-    worst = np.max([_deviations(s, rng.normal(size=4)) for s in states], axis=0)
+    worst = table.max(axis=0)
     for name, value in zip(_INVARIANTS, worst):
         ok = value <= tol
         print(f"{'ok  ' if ok else 'FAIL'} {name:24s} max_err={value:.3e}")
-    print(f"checked {len(states)} state(s), tolerance {tol:g}")
+    print(f"checked {len(table)} state(s), tolerance {tol:g}")
     return 0 if (worst <= tol).all() else 3
 
 

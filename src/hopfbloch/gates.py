@@ -23,7 +23,8 @@ from .bloch import (
     south_pole_coords,
 )
 from .errors import BadAxis, OutOfRange, SouthPoleA
-from .state import TwoQubitState, _slot_setters
+from .quaternion import _slot_setters
+from .state import TwoQubitState
 from .tolerances import EPS_UNIT
 
 if TYPE_CHECKING:

@@ -9,7 +9,7 @@ q = u + v*j with complex u, v (see ``to_complex_pair``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NotPureUnit
 from .tolerances import EPS_UNIT, EPS_ZERO
@@ -49,7 +49,14 @@ def _sphere_point(polar: float, azimuth: float) -> tuple[float, float, float]:
     return s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """The __set__ of each field's slot, in field order: the hand-written
+    __init__ of a frozen dataclass stores each field once through these,
+    which skips the frozen __setattr__."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """q = w + x*i + y*j + z*k with real coefficients."""
 
@@ -57,6 +64,13 @@ class Quaternion:
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+
+    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
+                 z: float = 0.0):
+        _set_w(self, w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
@@ -97,6 +111,8 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
+
+_set_w, _set_x, _set_y, _set_z = _slot_setters(Quaternion)
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)

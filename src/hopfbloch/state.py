@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
 from .hopf import S4Point
-from .quaternion import Quaternion, from_complex_pair, wrap_angle
+from .quaternion import Quaternion, _slot_setters, from_complex_pair, wrap_angle
 from .tolerances import EPS_UNIT, NORM_INPUT_TOL
 
 if TYPE_CHECKING:
@@ -78,13 +78,6 @@ class TwoQubitState:
 
     def amplitudes(self) -> tuple[complex, complex, complex, complex]:
         return self.alpha, self.beta, self.gamma, self.delta
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The __set__ of each field's slot, in field order: the hand-written
-    __init__ of a frozen dataclass stores each field once through these,
-    which skips the frozen __setattr__."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 _set_alpha, _set_beta, _set_gamma, _set_delta = _slot_setters(TwoQubitState)

@@ -12,6 +12,7 @@ from hopfbloch import (
     Basis,
     BlochCoordinates,
     CoordFlag,
+    FiberAtInfinity,
     HopfBlochError,
     NotNormalized,
     OutOfRange,
@@ -20,9 +21,16 @@ from hopfbloch import (
     SouthPoleA,
     TwoQubitState,
     angles_from_base,
+    concurrence,
     extract,
+    h1,
+    inverse_stereographic,
+    partial_trace_projection,
+    phase_aligned_distance,
+    quasi_density,
     quasi_state,
     reconstruct,
+    reduced_density,
 )
 from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
 from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
@@ -188,6 +196,72 @@ def reference_phase_aligned_distance(s1: TwoQubitState,
     phase = v1[k] / v2[k]
     phase /= abs(phase)
     return max(abs(a - phase * b) for a, b in zip(v1, v2))
+
+
+def _nan_max(values) -> float:
+    """max that returns NaN when any value is NaN (the builtin can drop it)."""
+    values = tuple(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _reference_deviations(s: TwoQubitState, raw_fiber) -> tuple[float, ...]:
+    """One state's deviations from the invariants of ``hopfbloch check``, in
+    its order; raw_fiber / |raw_fiber| is the fiber element."""
+    coords = extract(s)
+    round_trip = phase_aligned_distance(s, reconstruct(coords))
+
+    c, _ = concurrence(s)
+    conc = [abs(c - coords.concurrence)]
+    if CoordFlag.XI_UNDEFINED not in coords.flags:
+        claim = c * np.exp(1j * (coords.xi - 0.5 * math.pi))
+        det2 = 2.0 * (s.alpha * s.delta - s.beta * s.gamma)
+        conc.append(abs(claim - det2))
+
+    qs = quasi_state(s, Basis.A)
+    rho = quasi_density(qs)
+    sq = rho.matmul(rho)
+    projector = _nan_max([abs(rho.trace - 1.0)]
+                         + [(e1 - e2).norm()
+                            for e1, e2 in zip(sq.entries(), rho.entries())])
+
+    p = coords.s4_point
+    vec = s.vector
+    dense = np.outer(vec, vec.conj()).reshape(2, 2, 2, 2)
+    dense_a = np.trace(dense, axis1=1, axis2=3)
+    dense_b = np.trace(dense, axis1=0, axis2=2)
+    reduced = _nan_max(float(np.max(np.abs(got - oracle))) for got, oracle in (
+        (reduced_density(s, Basis.A), dense_a),
+        (reduced_density(s, Basis.B), dense_b),
+        (partial_trace_projection(p), dense_a)))
+
+    ball = abs(p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2 - 1.0)
+
+    fib = Quaternion(*(raw_fiber / np.linalg.norm(raw_fiber)))
+    try:
+        base = inverse_stereographic(h1(qs.q0, qs.q1))
+        moved = inverse_stereographic(h1(qs.q0 * fib, qs.q1 * fib))
+        fiber = _nan_max(abs(a - b) for a, b in
+                         zip((base.x0, base.x1, base.x2, base.x3, base.x4),
+                             (moved.x0, moved.x1, moved.x2, moved.x3, moved.x4)))
+    except FiberAtInfinity:
+        fiber = 0.0
+    return (round_trip, _nan_max(conc), projector, reduced, ball, fiber)
+
+
+def reference_check_table(seed: int, count: int = 1,
+                          state: TwoQubitState | None = None) -> np.ndarray:
+    """The (states, 6) deviation table of ``hopfbloch check``, one state at a
+    time with a numpy call per matrix: `state` alone when given, else `count`
+    random states.  The rng draws the (count, 8) table first, then one
+    4-vector per state for its fiber element."""
+    rng = np.random.default_rng(seed)
+    if state is not None:
+        states = [state]
+    else:
+        raw = rng.normal(size=(count, 8))
+        states = [TwoQubitState.from_vector(vec / np.linalg.norm(vec))
+                  for vec in raw[:, 0::2] + 1j * raw[:, 1::2]]
+    return np.array([_reference_deviations(s, rng.normal(size=4)) for s in states])
 
 
 SQ2 = math.sqrt(0.5)

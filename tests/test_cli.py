@@ -21,9 +21,10 @@ from hopfbloch import (
     inverse_stereographic,
     phase_aligned_distance,
 )
+from hopfbloch import cli
 from hopfbloch.cli import main
 
-from helpers import SQ2, random_states
+from helpers import SQ2, random_states, reference_check_table
 
 PI = math.pi
 
@@ -440,6 +441,31 @@ def test_check_nan_deviation_fails_its_invariant(capsys, monkeypatch, target,
             assert line == f"FAIL {invariant:24s} max_err=nan"
         else:
             assert line.startswith("ok  "), line
+
+
+# --bell 00, and --state=1,0;0,0;0,0;0,0, whose q1 = 0 takes the
+# FiberAtInfinity branch of fiber_invariance
+CHECK_STATES = (bell_state("00"), TwoQubitState(1 + 0j, 0j, 0j, 0j))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_table_matches_the_per_state_sweep_bit_for_bit(seed):
+    # tobytes compares NaNs and signed zeros too
+    for count in (1, 7, 500, 2 * cli._CHECK_BLOCK + 3):
+        got = cli._check_table(np.random.default_rng(seed), None, count)
+        assert got.tobytes() == reference_check_table(seed, count).tobytes(), count
+    for state in CHECK_STATES:
+        got = cli._check_table(np.random.default_rng(seed), state, 500)
+        want = reference_check_table(seed, state=state)
+        assert got.tobytes() == want.tobytes(), state
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_check_table_does_not_depend_on_the_block_size(monkeypatch, block):
+    want = cli._check_table(np.random.default_rng(5), None, 40)
+    monkeypatch.setattr(cli, "_CHECK_BLOCK", block)
+    got = cli._check_table(np.random.default_rng(5), None, 40)
+    assert got.tobytes() == want.tobytes()
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

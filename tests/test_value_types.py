@@ -17,6 +17,7 @@ from hopfbloch import (
     BlochCoordinates,
     CoordFlag,
     NotNormalized,
+    Quaternion,
     TwoQubitState,
 )
 from hopfbloch.gates import Stage, TrajectorySample
@@ -27,6 +28,7 @@ STATE = TwoQubitState(0.6, 0.8j, 0, 0)
 COORDS = BlochCoordinates(0.5, 1.0, 1.5, 2.0, 0.25, 3.0, 0.125,
                           frozenset({CoordFlag.XI_UNDEFINED}))
 SAMPLE = TrajectorySample(Stage.ROTATION_RAMP, 0.5, STATE, COORDS)
+QUAT = Quaternion(0.5, -1.0, 2.0, 0.25)
 
 STATE_REPR = "TwoQubitState(alpha=0.6, beta=0.8j, gamma=0, delta=0)"
 COORDS_REPR = ("BlochCoordinates(theta_a=0.5, phi_a=1.0, chi=1.5, xi=2.0, "
@@ -35,9 +37,10 @@ COORDS_REPR = ("BlochCoordinates(theta_a=0.5, phi_a=1.0, chi=1.5, xi=2.0, "
 SAMPLE_REPR = (f"TrajectorySample(stage=<Stage.ROTATION_RAMP: 'rotation'>, "
                f"s=0.5, state={STATE_REPR}, coords={COORDS_REPR}, "
                f"branch_flip=False)")
+QUAT_REPR = "Quaternion(w=0.5, x=-1.0, y=2.0, z=0.25)"
 
 VALUES = {"state": (STATE, STATE_REPR), "coords": (COORDS, COORDS_REPR),
-          "sample": (SAMPLE, SAMPLE_REPR)}
+          "sample": (SAMPLE, SAMPLE_REPR), "quaternion": (QUAT, QUAT_REPR)}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -74,6 +77,10 @@ def test_value_type_keywords_and_defaults():
     s = TwoQubitState(delta=0, gamma=0, beta=0.8j, alpha=0.6)
     assert s == STATE
 
+    assert Quaternion(z=0.25, y=2.0, x=-1.0, w=0.5) == QUAT
+    assert Quaternion() == Quaternion(0.0, 0.0, 0.0, 0.0)
+    assert Quaternion(0.5, z=0.25) == Quaternion(0.5, 0.0, 0.0, 0.25)
+
 
 def test_replace_renormalises_state():
     s = dataclasses.replace(TwoQubitState(1, 0, 0, 0), alpha=1 + 1e-7)
@@ -101,7 +108,7 @@ def _hand_initialised():
 
 def test_hand_written_inits_follow_their_fields():
     examples = {TwoQubitState: STATE, BlochCoordinates: COORDS,
-                TrajectorySample: SAMPLE}
+                TrajectorySample: SAMPLE, Quaternion: QUAT}
     # a new init=False dataclass needs an example here
     assert _hand_initialised() == set(examples)
     for cls, example in examples.items():
