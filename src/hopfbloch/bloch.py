@@ -26,7 +26,6 @@ from .quaternion import (
     TWO_PI,
     PureUnitQuaternion,
     _slot_setters,
-    _sphere_point,
     _wrapped_distance,
     angle_distance,
     wrap_angle,
@@ -84,10 +83,6 @@ class BlochCoordinates:
     @property
     def s4_point(self) -> S4Point:
         return base_from_angles(self.theta_a, self.phi_a, self.chi, self.xi)
-
-    @property
-    def qubit_b_vector(self) -> tuple[float, float, float]:
-        return _sphere_point(self.theta_b, self.phi_b)
 
 
 (_set_theta_a, _set_phi_a, _set_chi, _set_xi, _set_theta_b, _set_phi_b,

@@ -87,7 +87,6 @@ def _flag_names(c: BlochCoordinates) -> list[str]:
 
 def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     p = c.s4_point
-    t = c.t
     record = {}
     if label is not None:
         record["label"] = label
@@ -95,8 +94,8 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
         "angles": _rounded(_ANGLES, c.angles()),
         "cartesian": _rounded(("x0", "x1", "x2", "x3", "x4"),
                               (p.x0, p.x1, p.x2, p.x3, p.x4)),
-        "t": _rounded(("tx", "ty", "tz"), (t.tx, t.ty, t.tz)),
-        "qubit_b": _rounded(("xb", "yb", "zb"), c.qubit_b_vector),
+        "t": _rounded(("tx", "ty", "tz"), _sphere_point(c.chi, c.xi)),
+        "qubit_b": _rounded(("xb", "yb", "zb"), _sphere_point(c.theta_b, c.phi_b)),
         "concurrence": _round12(c.concurrence),
         "flags": _flag_names(c),
         "alternate": _rounded(_ANGLES, alternate(c).angles()),
@@ -104,8 +103,8 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     return record
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2)
 
 
 def _floats(text: str, count: int, what: str) -> list[float]:
@@ -141,16 +140,15 @@ def _south_pole_payload(exc: SouthPoleA) -> dict:
     }
 
 
-def cmd_coords(args) -> int:
+def cmd_coords(args) -> tuple[int, str]:
     state, label = _parse_state(args)
     coords = extract(state)
     if args.fix_phase:
         coords = normalize_global_phase(coords)
-    _emit(_coords_record(coords, label))
-    return 0
+    return 0, _json(_coords_record(coords, label))
 
 
-def cmd_amplitudes(args) -> int:
+def cmd_amplitudes(args) -> tuple[int, str]:
     coords = BlochCoordinates(*_floats(args.angles, 7, "--angles"))
     state = reconstruct(coords)
     record = {"amplitudes": [_pair(z) for z in state.amplitudes()]}
@@ -167,8 +165,7 @@ def cmd_amplitudes(args) -> int:
             }
         except SouthPoleA as exc:
             record["roundtrip"] = _south_pole_payload(exc)
-    _emit(record)
-    return 0
+    return 0, _json(record)
 
 
 def _make_gate(args) -> GateSpec:
@@ -198,7 +195,7 @@ def _traj_csv(traj: Trajectory) -> str:
         cells.append(f"{smp.coords.concurrence:.12g}")
         cells.append("1" if smp.branch_flip else "0")
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def _traj_json(traj: Trajectory) -> dict:
@@ -231,7 +228,7 @@ def _traj_svg(traj: Trajectory) -> str:
         c = smp.coords
         sphere_a.append(_sphere_point(c.theta_a, c.phi_a))
         sphere_t.append(_sphere_point(c.chi, c.xi))
-        sphere_b.append(c.qubit_b_vector)
+        sphere_b.append(_sphere_point(c.theta_b, c.phi_b))
     return svg.render_spheres([sphere_a, sphere_t, sphere_b])
 
 
@@ -239,19 +236,17 @@ def _traj_svg(traj: Trajectory) -> str:
 _MAX_RAMP_SAMPLES = 10 ** 6
 
 
-def cmd_traj(args) -> int:
+def cmd_traj(args) -> tuple[int, str]:
     if not (2 <= args.n1 <= _MAX_RAMP_SAMPLES and 2 <= args.n2 <= _MAX_RAMP_SAMPLES):
         raise ParseError(f"--n1 and --n2 must be between 2 and {_MAX_RAMP_SAMPLES}")
     gate = _make_gate(args)
     state, _ = _parse_state(args)
     traj = trajectory(gate, state, args.n1, args.n2)
     if args.format == "csv":
-        sys.stdout.write(_traj_csv(traj))
-    elif args.format == "svg":
-        sys.stdout.write(_traj_svg(traj))
-    else:
-        _emit(_traj_json(traj))
-    return 0
+        return 0, _traj_csv(traj)
+    if args.format == "svg":
+        return 0, _traj_svg(traj)
+    return 0, _json(_traj_json(traj))
 
 
 _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
@@ -365,7 +360,7 @@ def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
     return table
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     import numpy as np
     seed = args.seed
     seed_env = os.environ.get("HOPFBLOCH_SEED")
@@ -380,22 +375,21 @@ def cmd_check(args) -> int:
     tol = args.tolerance
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParseError(f"--tolerance must be finite and positive, got {tol!r}")
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(seed)
 
     state = None
     if args.state is not None or args.bell is not None:
         state = _parse_state(args)[0]
-    elif args.count < 1:
-        raise ParseError(f"--count must be at least 1, got {args.count}")
     table = _check_table(rng, state, args.count)
 
     # NaN-propagating, so a NaN deviation fails its invariant
     worst = table.max(axis=0)
-    for name, value in zip(_INVARIANTS, worst):
-        ok = value <= tol
-        print(f"{'ok  ' if ok else 'FAIL'} {name:24s} max_err={value:.3e}")
-    print(f"checked {len(table)} state(s), tolerance {tol:g}")
-    return 0 if (worst <= tol).all() else 3
+    lines = [f"{'ok  ' if value <= tol else 'FAIL'} {name:24s} max_err={value:.3e}"
+             for name, value in zip(_INVARIANTS, worst)]
+    lines.append(f"checked {len(table)} state(s), tolerance {tol:g}")
+    return 0 if (worst <= tol).all() else 3, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,18 +461,21 @@ _ERRORS = (
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, text = args.func(args)
     except SystemExit as exc:
         # only --help exits: argparse printed the help text
         return exc.code
     except SouthPoleA as exc:
-        _emit(_south_pole_payload(exc))
-        return 3
+        code, text = 3, _json(_south_pole_payload(exc))
     except (ParseError, HopfBlochError) as exc:
         kind, code = next((kind, code) for cls, kind, code in _ERRORS
                           if isinstance(exc, cls))
-        _emit({"error": kind, "message": str(exc)})
-        return code
+        text = _json({"error": kind, "message": str(exc)})
+    # print writes the final newline in a write of its own.  Unbuffered, a
+    # closed pipe can cut the text short without an error, but that second
+    # write then raises BrokenPipeError, which main turns into exit 1.
+    print(text)
+    return code
 
 
 def main(argv=None) -> int:

@@ -87,4 +87,4 @@ def render_spheres(paths) -> str:
                      f'font-family="sans-serif" font-size="12">{label}</text>')
         parts.append("</g>")
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +8,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfbloch import (
     OffSphere,
@@ -331,13 +335,15 @@ def test_traj_with_south_pole_samples(capsys):
     (["check", "--count", "1000000000000000"], {}),
     (["check", "--count", "99999999999999999999"], {}),
     (["coords", "--bell", "00", "--state=1,0;0,0;0,0;0,0"], {}),
+    (["check", "--bell", "00", "--count", "-5"], {}),
+    (["check", "--state=1,0;0,0;0,0;0,0", "--count", "0"], {}),
 ], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
         "negative-seed", "negative-seed-env", "short-axis", "short-angles",
         "bad-angle", "short-amplitude", "bad-amplitude", "bad-seed",
         "bad-n1", "bad-format", "unknown-option", "no-command",
         "nan-tolerance", "negative-tolerance", "zero-tolerance",
         "inf-tolerance", "unallocatable-count", "unshapeable-count",
-        "state-and-bell"])
+        "state-and-bell", "bell-with-negative-count", "state-with-zero-count"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():
@@ -554,13 +560,31 @@ def test_closed_stdout_exits_1_without_traceback(fmt):
     argv = ["traj", "cz", "--bell", "00", "--n1", "2000", "--n2", "2000",
             "--format", fmt]
     env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
-    # unbuffered, a text write that the closed pipe cuts short drops the
-    # rest without an error, so nothing would be tested
+    # buffered; test_closed_stdout_exits_1_when_unbuffered covers the rest
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen([sys.executable, "-m", "hopfbloch.cli", *argv],
                             env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     assert proc.stdout.read(1) == (b"{" if fmt == "json" else b"s")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == ""
+
+
+@pytest.mark.parametrize("fmt, first", [("json", b"{"), ("csv", b"s"),
+                                        ("svg", b"<")])
+def test_closed_stdout_exits_1_when_unbuffered(fmt, first):
+    # unbuffered, a closed pipe can cut the text's write short without an
+    # error, so the separate write of the final newline must raise
+    argv = ["traj", "cz", "--bell", "00", "--n1", "2000", "--n2", "2000",
+            "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "hopfbloch.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == first
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
@@ -577,3 +601,94 @@ def test_closed_stdout_in_process_keeps_the_host_stdout(capsys):
         pipe.write("dropped")
     print("host")
     assert capsys.readouterr().out == "host\n"
+
+
+# README's states, its overflowing one, and a south pole state
+CONTRACT_STATES = ("0.5,0;0.5,0;0.5,0;0.5,0", "0.70710678,0;0,0.70710678;0,0;0,0",
+                   "1e308,0;1e308,0;0,0;0,0", "0,0;0,0;0.6,0;0.8,0")
+# option values for the CLI contract property: edge numbers, junk, README's
+# examples, Bell codes and gate names
+CONTRACT_VALUES = CONTRACT_STATES + (
+    "0", "1", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "", "x",
+    "1.5707963,1.5707963,1.5707963,1.5707963,0,0,0", "0,0,1", "1.5707963",
+    "3.1415927", "1e-9", "7", "json", "csv", "svg",
+    "00", "22", "cnot", "cz", "swap", "cu", "foo",
+)
+# --n1, --n2 and --count draw from this pool instead, so an example stays fast
+CONTRACT_SIZES = ("0", "1", "-1", "2", "3", "40", "", "x", "nan", "1e308")
+# half the draws come from the values README shows an option taking, so
+# that valid commands and domain errors are as common as parse errors
+CONTRACT_USUAL = {
+    "gate": ("cnot", "cz", "swap", "cu"),
+    "--state": CONTRACT_STATES,
+    "--bell": ("00",),
+    "--format": ("json", "csv", "svg"),
+    "--angles": ("1.5707963,1.5707963,1.5707963,1.5707963,0,0,0",),
+    "--axis": ("0,0,1",),
+    "--eta": ("1.5707963",),
+    "--omega": ("3.1415927",),
+    "--seed": ("7",),
+    "--tolerance": ("1e-9", "5e-324"),
+    "--n1": ("2", "3", "40"),
+    "--n2": ("2", "3", "40"),
+    "--count": ("1", "3"),
+}
+CONTRACT_OPTIONS = {
+    "coords": ("--state", "--bell", "--fix-phase", "--canonical", "--format"),
+    "amplitudes": ("--angles", "--roundtrip"),
+    "traj": ("--state", "--bell", "--axis", "--eta", "--omega", "--n1", "--n2",
+             "--format"),
+    "check": ("--state", "--bell", "--seed", "--tolerance"),
+}
+CONTRACT_FLAGS = ("--fix-phase", "--canonical", "--roundtrip")
+# README's exit code for each error kind
+ERROR_KIND_CODES = {"parse": 2, "unknown_gate": 4, "not_normalized": 3,
+                    "out_of_range": 3, "domain": 3, "south_pole_a": 3}
+
+
+@st.composite
+def cli_argvs(draw):
+    def value(opt):
+        pool = CONTRACT_SIZES if opt in ("--n1", "--n2", "--count") \
+            else CONTRACT_VALUES
+        return draw(st.sampled_from(CONTRACT_USUAL[opt])
+                    | st.sampled_from(pool))
+
+    command = draw(st.sampled_from(sorted(CONTRACT_OPTIONS)))
+    argv = [command]
+    if command == "traj":
+        argv.append(value("gate"))
+    # the command's input first, then up to four options, perhaps the input
+    # again or its exclusive twin
+    inputs = ("--angles",) if command == "amplitudes" else ("--state", "--bell")
+    options = [draw(st.sampled_from(inputs))]
+    options += draw(st.lists(st.sampled_from(CONTRACT_OPTIONS[command]),
+                             max_size=4, unique=True))
+    if command == "check":
+        options.append("--count")  # the default of 500 states is slow
+    for opt in options:
+        argv.append(opt if opt in CONTRACT_FLAGS else f"{opt}={value(opt)}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(argv=cli_argvs())
+def test_every_argv_gets_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("HOPFBLOCH_SEED", None)
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue() == ""
+    if code == 0:
+        return
+    if argv[0] == "check" and code == 3 and not out.startswith("{"):
+        lines = out.splitlines()
+        assert len(lines) == 7 and lines[-1].startswith("checked ")
+        assert any(line.startswith("FAIL") for line in lines)
+        return
+    record = json.loads(out)
+    assert isinstance(record, dict)
+    assert ERROR_KIND_CODES[record["error"]] == code
