@@ -172,12 +172,15 @@ def _make_gate(args) -> GateSpec:
     name = args.gate.lower()
     fixed = {"cnot": GateSpec.cnot, "cz": GateSpec.cz, "swap": GateSpec.swap}
     if name in fixed:
+        if (args.axis, args.eta, args.omega) != (None, None, None):
+            raise ParseError(f"--axis, --eta and --omega apply only to cu, not {name}")
         return fixed[name]()
     if name in ("cu", "controlled-u"):
         if args.axis is None:
             raise ParseError("controlled-U needs --axis nx,ny,nz")
-        axis = _floats(args.axis, 3, "--axis")
-        return GateSpec.controlled_u(axis, args.omega, args.eta)
+        eta = math.pi / 2 if args.eta is None else args.eta
+        omega = math.pi if args.omega is None else args.omega
+        return GateSpec.controlled_u(_floats(args.axis, 3, "--axis"), omega, eta)
     raise UnknownGate(f"unknown gate {args.gate!r}; use cnot, cz, swap or cu")
 
 
@@ -320,14 +323,20 @@ def _reduced_vs_oracle(states: list[TwoQubitState],
 _CHECK_BLOCK = 128
 
 
+def _unit_rows(rows: np.ndarray) -> list[list]:
+    """Each row divided by its norm, as Python numbers.  One norm per row:
+    BLAS sums a whole array in another order."""
+    import numpy as np
+    return (rows / [[np.linalg.norm(row)] for row in rows]).tolist()
+
+
 def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
                  count: int) -> np.ndarray:
     """Row i holds the i-th swept state's deviation from each of
     _INVARIANTS: `state` alone when given, else `count` random states.
 
     rng draws the (count, 8) table of random amplitudes first, then one
-    4-vector per state for its fiber element.  numpy works once per block
-    of states: the normalisation and the dense oracle of reduced_vs_oracle.
+    4-vector per state for its fiber element, a block of states at a time.
     """
     import numpy as np
     if state is None:
@@ -339,24 +348,14 @@ def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
         count = 1
     table = np.empty((count, len(_INVARIANTS)))
     for lo in range(0, count, _CHECK_BLOCK):
-        hi = min(lo + _CHECK_BLOCK, count)
-        if state is None:
-            vecs = raw[lo:hi, 0::2] + 1j * raw[lo:hi, 1::2]
-            # one norm per row: BLAS sums a whole array in another order
-            norms = np.array([np.linalg.norm(vec) for vec in vecs])
-            states = [TwoQubitState(*amps)
-                      for amps in (vecs / norms[:, None]).tolist()]
-        else:
-            states = [state]
-        rows = []
-        got = np.empty((hi - lo, 3, 2, 2), dtype=complex)
-        for i, s in enumerate(states):
-            raw_fiber = rng.normal(size=4)
-            fib = Quaternion(*(raw_fiber / np.linalg.norm(raw_fiber)).tolist())
-            row, got[i] = _deviations(s, fib)
-            rows.append(row)
-        table[lo:hi, [0, 1, 2, 4, 5]] = rows  # all but reduced_vs_oracle
-        table[lo:hi, 3] = _reduced_vs_oracle(states, got)
+        block = slice(lo, lo + _CHECK_BLOCK)
+        states = [state] if state is not None else [
+            TwoQubitState(*amps)
+            for amps in _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2])]
+        fibs = [Quaternion(*q) for q in _unit_rows(rng.normal(size=(len(states), 4)))]
+        rows, got = zip(*map(_deviations, states, fibs))
+        table[block, [0, 1, 2, 4, 5]] = rows  # all but reduced_vs_oracle
+        table[block, 3] = _reduced_vs_oracle(states, np.array(got, dtype=complex))
     return table
 
 
@@ -425,11 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj = sub.add_parser("traj", help="two-step gate trajectory")
     p_traj.add_argument("gate", help="cnot, cz, swap or cu")
     add_state_args(p_traj)
-    p_traj.add_argument("--axis", help="controlled-U axis as 'nx,ny,nz'")
-    p_traj.add_argument("--eta", type=float, default=math.pi / 2,
-                        help="controlled-U phase endpoint (radians)")
-    p_traj.add_argument("--omega", type=float, default=math.pi,
-                        help="controlled-U rotation endpoint (radians)")
+    p_traj.add_argument("--axis", help="cu only: the axis as 'nx,ny,nz'")
+    p_traj.add_argument("--eta", type=float,
+                        help="cu only: phase endpoint (radians)")
+    p_traj.add_argument("--omega", type=float,
+                        help="cu only: rotation endpoint (radians)")
     p_traj.add_argument("--n1", type=int, default=32, help="phase-ramp samples")
     p_traj.add_argument("--n2", type=int, default=32, help="rotation-ramp samples")
     p_traj.add_argument("--format", choices=["json", "csv", "svg"],

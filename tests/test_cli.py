@@ -337,13 +337,17 @@ def test_traj_with_south_pole_samples(capsys):
     (["coords", "--bell", "00", "--state=1,0;0,0;0,0;0,0"], {}),
     (["check", "--bell", "00", "--count", "-5"], {}),
     (["check", "--state=1,0;0,0;0,0;0,0", "--count", "0"], {}),
+    (["traj", "cnot", "--axis", "a,b,c", "--bell", "00"], {}),
+    (["traj", "cz", "--eta", "1", "--bell", "00"], {}),
+    (["traj", "swap", "--omega", "nan", "--bell", "00"], {}),
 ], ids=["bad-axis", "bad-seed-env", "negative-count", "zero-count",
         "negative-seed", "negative-seed-env", "short-axis", "short-angles",
         "bad-angle", "short-amplitude", "bad-amplitude", "bad-seed",
         "bad-n1", "bad-format", "unknown-option", "no-command",
         "nan-tolerance", "negative-tolerance", "zero-tolerance",
         "inf-tolerance", "unallocatable-count", "unshapeable-count",
-        "state-and-bell", "bell-with-negative-count", "state-with-zero-count"])
+        "state-and-bell", "bell-with-negative-count", "state-with-zero-count",
+        "cnot-with-axis", "cz-with-eta", "swap-with-omega"])
 def test_malformed_inputs_are_parse_errors(capsys, monkeypatch, argv, env):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     for key, value in env.items():
@@ -398,7 +402,7 @@ def test_check_random_sweep_checks_every_draw(capsys, monkeypatch):
         def normal(self, size):
             if size == (1, 8):
                 return np.array([[1e-4, 0, 0, 0, 1, 0, 0, 0]])
-            return np.array([0.5, 0.5, 0.5, 0.5])
+            return np.full(size, 0.5)
 
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: StubRng())
@@ -464,6 +468,29 @@ def test_check_table_matches_the_per_state_sweep_bit_for_bit(seed):
         got = cli._check_table(np.random.default_rng(seed), state, 500)
         want = reference_check_table(seed, state=state)
         assert got.tobytes() == want.tobytes(), state
+
+
+class RecordingRng:
+    """default_rng(seed) that records the size of each normal draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return self.rng.normal(size=size)
+
+
+def test_check_table_draws_the_fibers_once_per_block():
+    block = cli._CHECK_BLOCK
+    rng = RecordingRng(3)
+    cli._check_table(rng, None, 2 * block + 3)
+    assert rng.sizes == [(2 * block + 3, 8), (block, 4), (block, 4), (3, 4)]
+    for state in CHECK_STATES:
+        rng = RecordingRng(3)
+        cli._check_table(rng, state, 500)
+        assert rng.sizes == [(1, 4)]
 
 
 @pytest.mark.parametrize("block", [1, 7])
