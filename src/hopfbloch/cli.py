@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -391,7 +392,9 @@ def cmd_check(args) -> tuple[int, str]:
     return 0 if (worst <= tol).all() else 3, "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the one parser shared by every call; callers must not mutate it."""
     parser = _Parser(
         prog="hopfbloch",
         description="Convert two-qubit pure states to three-sphere Bloch "
@@ -412,14 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_coords.add_argument("--canonical", action="store_true",
                           help="no-op: coords is already on the b >= 0 branch")
     p_coords.add_argument("--format", choices=["json"], default="json")
-    p_coords.set_defaults(func=cmd_coords)
 
     p_amp = sub.add_parser("amplitudes", help="seven angles -> state")
     p_amp.add_argument("--angles", required=True,
                        help=",".join(_ANGLES) + " (radians)")
     p_amp.add_argument("--roundtrip", action="store_true",
                        help="re-extract and report the max deviation")
-    p_amp.set_defaults(func=cmd_amplitudes)
 
     p_traj = sub.add_parser("traj", help="two-step gate trajectory")
     p_traj.add_argument("gate", help="cnot, cz, swap or cu")
@@ -433,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--n2", type=int, default=32, help="rotation-ramp samples")
     p_traj.add_argument("--format", choices=["json", "csv", "svg"],
                         default="json")
-    p_traj.set_defaults(func=cmd_traj)
 
     p_check = sub.add_parser("check", help="run the invariant sweep")
     add_state_args(p_check)
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--count", type=int, default=500,
                          help="number of random states")
     p_check.add_argument("--tolerance", type=float, default=EPS_NUM)
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
@@ -460,7 +459,9 @@ _ERRORS = (
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code, text = args.func(args)
+        # looked up per call, not bound into the shared parser, so that a
+        # later rebinding of a cmd_* function (a tracer's wrapper) is called
+        code, text = globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         # only --help exits: argparse printed the help text
         return exc.code

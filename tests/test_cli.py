@@ -698,17 +698,23 @@ def cli_argvs(draw):
     return argv
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(argv=cli_argvs())
-def test_every_argv_gets_a_documented_exit_code(argv):
+def _main_in_process(argv):
+    """(code, stdout, stderr) of one in-process main call, HOPFBLOCH_SEED
+    unset."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         os.environ.pop("HOPFBLOCH_SEED", None)
         code = main(argv)
-    out = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(argv=cli_argvs())
+def test_every_argv_gets_a_documented_exit_code(argv):
+    code, out, err = _main_in_process(argv)
     assert code in (0, 2, 3, 4)
-    assert err.getvalue() == ""
+    assert err == ""
     if code == 0:
         return
     if argv[0] == "check" and code == 3 and not out.startswith("{"):
@@ -719,3 +725,57 @@ def test_every_argv_gets_a_documented_exit_code(argv):
     record = json.loads(out)
     assert isinstance(record, dict)
     assert ERROR_KIND_CODES[record["error"]] == code
+
+
+def _fresh_parser():
+    """Patches main to build a new parser on every call."""
+    return mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__)
+
+
+# run before each example, so the shared parser has just seen a success, an
+# exclusive-group conflict, a missing required option and a --help
+WARM_UP_ARGVS = (["coords", "--bell", "00"],
+                 ["coords", "--state=x", "--bell", "00"],
+                 ["amplitudes"], ["traj", "--help"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(argv=cli_argvs())
+def test_shared_parser_keeps_no_state_between_calls(argv):
+    for warm_up in WARM_UP_ARGVS:
+        _main_in_process(warm_up)
+    shared = _main_in_process(argv)
+    with _fresh_parser():
+        assert _main_in_process(argv) == shared
+
+
+def test_build_parser_is_shared_and_not_built_on_import():
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hopfbloch.cli as cli; "
+                               "print(cli.build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_help_wraps_at_the_width_of_each_call(monkeypatch):
+    # rebuilt under a third width first, so a width read while building the
+    # parser would show in both helps
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "120")
+    cli.build_parser()
+    helps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        shared = _main_in_process(["traj", "--help"])
+        with _fresh_parser():
+            assert _main_in_process(["traj", "--help"]) == shared
+        helps.append(shared[1])
+    assert helps[0] != helps[1]
+
+
+def test_main_calls_the_command_function_bound_at_call_time(monkeypatch):
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_coords", lambda args: (0, "rebound"))
+    assert _main_in_process(["coords", "--bell", "00"]) == (0, "rebound\n", "")

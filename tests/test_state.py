@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfbloch import (
     Basis,
@@ -11,6 +13,7 @@ from hopfbloch import (
     QuasiState,
     Quaternion,
     S4Point,
+    SouthPoleA,
     TwoQubitState,
     bell_state,
     concurrence,
@@ -180,6 +183,22 @@ def test_concurrence_local_unitary_invariance():
         u = np.kron(random_unitary_2x2(rng), random_unitary_2x2(rng))
         c1, _ = concurrence(TwoQubitState.from_vector(u @ s.vector))
         assert abs(c0 - c1) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       draw_states=st.sampled_from([random_states, random_product_states]))
+def test_extracted_concurrence_local_unitary_invariance(seed, draw_states):
+    # the coordinates' b * |sin(chi)|, not the amplitude formula above
+    rng = np.random.default_rng(seed)
+    s = draw_states(rng, 1)[0]
+    u = np.kron(random_unitary_2x2(rng), random_unitary_2x2(rng))
+    try:
+        c0 = extract(s).concurrence
+        c1 = extract(TwoQubitState.from_vector(u @ s.vector)).concurrence
+    except SouthPoleA:
+        return
+    assert abs(c0 - c1) <= 1e-12
 
 
 def test_phase_family_state():
