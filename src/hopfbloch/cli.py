@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import svg
@@ -104,8 +104,39 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     return record
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
+# float.__repr__ of the non-finite floats -> what json.dumps writes for them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts with str
+    keys, lists, strs, floats, ints, bools and None; anything else raises
+    TypeError.  newline starts each line of obj at its indent.  On CPython
+    3.10 to 3.12 any indent sends json.dumps to its slower pure-Python
+    encoder."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                 for key, item in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def _floats(text: str, count: int, what: str) -> list[float]:
@@ -257,6 +288,10 @@ _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
                "reduced_vs_oracle", "ball_identity", "fiber_invariance")
 
 
+# bound once: on Python 3.11 each Enum member lookup runs EnumType.__getattr__
+_XI_UNDEFINED = CoordFlag.XI_UNDEFINED
+
+
 def _nan_max(values) -> float:
     """max that returns NaN when any value is NaN (the builtin can drop it)."""
     values = tuple(values)
@@ -273,7 +308,7 @@ def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
 
     c, _ = concurrence(s)
     conc = [abs(c - coords.concurrence)]
-    if CoordFlag.XI_UNDEFINED not in coords.flags:
+    if _XI_UNDEFINED not in coords.flags:
         claim = c * cmath.exp(1j * (coords.xi - 0.5 * math.pi))
         det2 = 2.0 * (s.alpha * s.delta - s.beta * s.gamma)
         conc.append(abs(claim - det2))

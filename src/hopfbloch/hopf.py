@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FiberAtInfinity, NotNormalized, OffSphere
-from .quaternion import Quaternion, _sphere_point, wrap_angle
+from .quaternion import (
+    Quaternion,
+    _hamilton,
+    _slot_setters,
+    _sphere_point,
+    wrap_angle,
+)
 from .tolerances import EPS_UNIT, EPS_ZERO
 
 
@@ -55,7 +61,7 @@ def _block_norm(x2: float, x3: float, x4: float) -> float:
     return math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class S4Point:
     """Cartesian point on the unit 4-sphere embedded in R^5.
 
@@ -70,6 +76,13 @@ class S4Point:
     x3: float
     x4: float
 
+    def __init__(self, x0: float, x1: float, x2: float, x3: float, x4: float):
+        _set_x0(self, x0)
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_x3(self, x3)
+        _set_x4(self, x4)
+
     @property
     def b(self) -> float:
         return _block_norm(self.x2, self.x3, self.x4)
@@ -81,6 +94,8 @@ class S4Point:
     def validate(self) -> None:
         _validate(self.x0, self.x1, self.x2, self.x3, self.x4)
 
+
+_set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = _slot_setters(S4Point)
 
 NORTH_POLE = S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -110,7 +125,10 @@ def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     n2 = q1.norm_squared()
     if n2 <= EPS_ZERO * EPS_ZERO:
         raise FiberAtInfinity("q1 = 0 maps to the excluded north pole")
-    return (q1 * q0.conjugate()) * (1.0 / n2)
+    # (q1 * q0.conjugate()) * (1.0 / n2), without the intermediate objects
+    r = 1.0 / n2
+    w, x, y, z = _hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)
+    return Quaternion(w * r, x * r, y * r, z * r)
 
 
 def inverse_stereographic(q: Quaternion) -> S4Point:

@@ -49,6 +49,16 @@ def _sphere_point(polar: float, azimuth: float) -> tuple[float, float, float]:
     return s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
 
 
+def _hamilton(w1: float, x1: float, y1: float, z1: float, w2: float, x2: float,
+              y2: float, z2: float) -> tuple[float, float, float, float]:
+    """The Hamilton product (w1 + x1*i + y1*j + z1*k)(w2 + x2*i + y2*j + z2*k)
+    on bare floats, as its (w, x, y, z)."""
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
 def _slot_setters(cls: type) -> tuple:
     """The __set__ of each field's slot, in field order: the hand-written
     __init__ of a frozen dataclass stores each field once through these,
@@ -86,14 +96,8 @@ class Quaternion:
     def __mul__(self, other):
         """Hamilton product (non-commutative), or scaling by a real number."""
         if isinstance(other, Quaternion):
-            w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-            w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-            return Quaternion(
-                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            )
+            return Quaternion(*_hamilton(self.w, self.x, self.y, self.z,
+                                         other.w, other.x, other.y, other.z))
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)

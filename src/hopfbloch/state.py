@@ -18,7 +18,13 @@ from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
 from .hopf import S4Point
-from .quaternion import Quaternion, _slot_setters, from_complex_pair, wrap_angle
+from .quaternion import (
+    Quaternion,
+    _hamilton,
+    _slot_setters,
+    from_complex_pair,
+    wrap_angle,
+)
 from .tolerances import EPS_UNIT, NORM_INPUT_TOL
 
 if TYPE_CHECKING:
@@ -164,15 +170,21 @@ class QuasiDensity:
         return self.e00.w + self.e11.w
 
     def matmul(self, other: "QuasiDensity") -> "QuasiDensity":
-        return QuasiDensity(
-            self.e00 * other.e00 + self.e01 * other.e10,
-            self.e00 * other.e01 + self.e01 * other.e11,
-            self.e10 * other.e00 + self.e11 * other.e10,
-            self.e10 * other.e01 + self.e11 * other.e11,
-        )
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        return QuasiDensity(_product_sum(a, e, b, g), _product_sum(a, f, b, h),
+                            _product_sum(c, e, d, g), _product_sum(c, f, d, h))
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.e00, self.e01, self.e10, self.e11
+
+
+def _product_sum(p: Quaternion, q: Quaternion, r: Quaternion,
+                 s: Quaternion) -> Quaternion:
+    """p * q + r * s, without the intermediate objects."""
+    w1, x1, y1, z1 = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+    w2, x2, y2, z2 = _hamilton(r.w, r.x, r.y, r.z, s.w, s.x, s.y, s.z)
+    return Quaternion(w1 + w2, x1 + x2, y1 + y2, z1 + z2)
 
 
 def quasi_density(qs: QuasiState) -> QuasiDensity:
@@ -180,9 +192,15 @@ def quasi_density(qs: QuasiState) -> QuasiDensity:
     n = qs.norm_squared()
     if not (abs(n - 1.0) <= EPS_UNIT):
         raise NotNormalized(f"quasi-state norm^2 {n:.12g} is not 1")
+    # each entry q_i * q_j.conjugate(), without the intermediate objects
     q0, q1 = qs.q0, qs.q1
-    return QuasiDensity(q0 * q0.conjugate(), q0 * q1.conjugate(),
-                        q1 * q0.conjugate(), q1 * q1.conjugate())
+    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
+    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
+    return QuasiDensity(
+        Quaternion(*_hamilton(w0, x0, y0, z0, w0, -x0, -y0, -z0)),
+        Quaternion(*_hamilton(w0, x0, y0, z0, w1, -x1, -y1, -z1)),
+        Quaternion(*_hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0)),
+        Quaternion(*_hamilton(w1, x1, y1, z1, w1, -x1, -y1, -z1)))
 
 
 def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:

@@ -16,6 +16,7 @@ from hopfbloch import (
     HopfBlochError,
     NotNormalized,
     OutOfRange,
+    QuasiDensity,
     Quaternion,
     S4Point,
     SouthPoleA,
@@ -196,6 +197,97 @@ def reference_phase_aligned_distance(s1: TwoQubitState,
     phase = v1[k] / v2[k]
     phase /= abs(phase)
     return max(abs(a - phase * b) for a, b in zip(v1, v2))
+
+
+def same_bits(x: float, y: float) -> bool:
+    """x and y are the same float: signed zeros told apart by copysign, and
+    any NaN equal to any NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def same_quaternion_bits(p: Quaternion, q: Quaternion) -> bool:
+    return all(map(same_bits, (p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+
+
+# components for the bit-identity pins of the Hamilton product: zeros of
+# both signs, subnormals, units, values whose products overflow, inf and NaN
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0, 1e308, -1e308,
+                  math.inf, math.nan)
+
+
+def special_quaternions(rng, count):
+    """count quaternions whose components are random normals, each replaced
+    by one of the 10 SPECIAL_FLOATS with probability 10/25."""
+    raw = rng.normal(size=(count, 4)).tolist()
+    picks = rng.integers(0, 25, size=(count, 4)).tolist()
+    return [Quaternion(*(SPECIAL_FLOATS[k] if k < len(SPECIAL_FLOATS) else x
+                         for x, k in zip(row, ks)))
+            for row, ks in zip(raw, picks)]
+
+
+def unit_pair(q0: Quaternion, q1: Quaternion) -> tuple[Quaternion, Quaternion]:
+    """(q0, q1) scaled to |q0|^2 + |q1|^2 = 1 when that norm is finite and
+    not zero, else as given."""
+    n = math.sqrt(q0.norm_squared() + q1.norm_squared())
+    if not 0.0 < n < math.inf:
+        return q0, q1
+    return tuple(Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
+                 for q in (q0, q1))
+
+
+def reference_mul(p: Quaternion, other) -> Quaternion:
+    """``Quaternion.__mul__`` with the Hamilton product written inline.
+    ``Quaternion.__mul__``, ``quasi_density``, ``QuasiDensity.matmul`` and
+    ``h1`` run the same float operations through ``quaternion._hamilton``,
+    so they agree with the reference_* copies below bit for bit."""
+    if isinstance(other, Quaternion):
+        w1, x1, y1, z1 = p.w, p.x, p.y, p.z
+        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        return Quaternion(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+    if isinstance(other, (int, float)):
+        return Quaternion(p.w * other, p.x * other,
+                          p.y * other, p.z * other)
+    return NotImplemented
+
+
+def reference_quasi_density(qs) -> QuasiDensity:
+    """``quasi_density`` on ``reference_mul``."""
+    n = qs.norm_squared()
+    if not (abs(n - 1.0) <= EPS_UNIT):
+        raise NotNormalized(f"quasi-state norm^2 {n:.12g} is not 1")
+    q0, q1 = qs.q0, qs.q1
+    return QuasiDensity(reference_mul(q0, q0.conjugate()),
+                        reference_mul(q0, q1.conjugate()),
+                        reference_mul(q1, q0.conjugate()),
+                        reference_mul(q1, q1.conjugate()))
+
+
+def reference_matmul(a: QuasiDensity, b: QuasiDensity) -> QuasiDensity:
+    """``QuasiDensity.matmul`` on ``reference_mul`` and ``Quaternion.__add__``."""
+    return QuasiDensity(
+        reference_mul(a.e00, b.e00) + reference_mul(a.e01, b.e10),
+        reference_mul(a.e00, b.e01) + reference_mul(a.e01, b.e11),
+        reference_mul(a.e10, b.e00) + reference_mul(a.e11, b.e10),
+        reference_mul(a.e10, b.e01) + reference_mul(a.e11, b.e11),
+    )
+
+
+def reference_h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
+    """``h1`` on ``reference_mul``."""
+    total = q0.norm_squared() + q1.norm_squared()
+    if not (abs(total - 1.0) <= EPS_UNIT):
+        raise NotNormalized(f"|q0|^2 + |q1|^2 = {total:.12g}, expected 1")
+    n2 = q1.norm_squared()
+    if n2 <= EPS_ZERO * EPS_ZERO:
+        raise FiberAtInfinity("q1 = 0 maps to the excluded north pole")
+    return reference_mul(reference_mul(q1, q0.conjugate()), 1.0 / n2)
 
 
 def _nan_max(values) -> float:

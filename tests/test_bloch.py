@@ -503,3 +503,98 @@ def test_nearer_branch_follows_coords_distance_rule():
         assert got == rule(c, prev)
         ties += coords_distance(alternate(c), prev) == coords_distance(c, prev)
     assert ties > 0
+
+
+# The measured phase laws (ROADMAP item 3): which angles a phase on the
+# amplitudes moves, and by how much.  Each law holds on every Haar and
+# product draw to 1e-12, wrap-aware.
+
+ANGLE_NAMES = ("theta_a", "phi_a", "chi", "xi", "theta_b", "phi_b", "zeta_b")
+# the angles each flag pins to the convention 0
+PINNED = {CoordFlag.PHI_A_UNDEFINED: ("phi_a",),
+          CoordFlag.T_UNDEFINED: ("chi", "xi"),
+          CoordFlag.XI_UNDEFINED: ("xi",),
+          CoordFlag.PHI_B_UNDEFINED: ("phi_b",),
+          CoordFlag.THETA_B_PI_AMBIGUOUS: ("zeta_b",)}
+# amplitude indices of each phase: e^{i omega} on every amplitude,
+# 1 (x) diag(1, e^{i omega}) on qubit B, diag(1, e^{i omega}) (x) 1 on A, and
+# the controlled phase diag(1, 1, 1, e^{i omega})
+GLOBAL, QUBIT_B, QUBIT_A, CONTROLLED = (0, 1, 2, 3), (1, 3), (2, 3), (3,)
+STATE_DRAWS = pytest.mark.parametrize("draw_states",
+                                      [random_states, random_product_states],
+                                      ids=["haar", "product"])
+
+
+def _phase_law_pairs(draw_states, indices):
+    """(omega, coordinates before, coordinates after) for 500 drawn states
+    and four omegas, the phase e^{i omega} put on the amplitudes at
+    `indices`."""
+    rng = np.random.default_rng(71)
+    for s in draw_states(rng, 500):
+        amps = s.amplitudes()
+        for omega in (0.3, 1.0, -2.5, 3.0):
+            g = cmath.exp(1j * omega)
+            phased = TwoQubitState(*(z * g if k in indices else z
+                                     for k, z in enumerate(amps)))
+            yield omega, extract(s), extract(phased)
+
+
+def assert_moves(before, after, shifts):
+    """Each angle of `after` is the one of `before` plus its shift in
+    `shifts`, or unchanged when not named; a shift of None leaves the angle
+    free.  The flags stay, and an angle they pin stays at its convention."""
+    assert after.flags == before.flags
+    pinned = {name for flag in before.flags for name in PINNED.get(flag, ())}
+    for name in ANGLE_NAMES:
+        got, old = getattr(after, name), getattr(before, name)
+        shift = shifts.get(name, 0.0)
+        if name in pinned:
+            assert got == old == 0.0, name
+        elif shift is not None:
+            assert angle_distance(got, old + shift) <= 1e-12, (name, before, after)
+
+
+@STATE_DRAWS
+def test_global_phase_moves_xi_and_phi_b_by_two_omega_and_zeta_b_by_omega(
+        draw_states):
+    for omega, before, after in _phase_law_pairs(draw_states, GLOBAL):
+        assert_moves(before, after, {"xi": 2.0 * omega, "phi_b": 2.0 * omega,
+                                     "zeta_b": omega})
+
+
+@STATE_DRAWS
+def test_phase_on_qubit_b_moves_xi_and_phi_b_by_omega(draw_states):
+    for omega, before, after in _phase_law_pairs(draw_states, QUBIT_B):
+        assert_moves(before, after, {"xi": omega, "phi_b": omega})
+
+
+def test_phase_on_qubit_a_moves_xi_by_omega_on_haar_states():
+    # phi_a and chi move by amounts that depend on the state
+    for omega, before, after in _phase_law_pairs(random_states, QUBIT_A):
+        assert_moves(before, after, {"phi_a": None, "chi": None, "xi": omega})
+
+
+def test_phase_on_qubit_a_moves_only_phi_a_on_product_states():
+    # t = +-k on a product state, so chi sits at 0 or pi and the b >= 0
+    # branch can flip it; phi_a signed by that branch moves by omega
+    def signed_phi_a(c):
+        assert min(c.chi, PI - c.chi) <= 1e-12
+        return c.phi_a if c.chi < 0.5 * PI else -c.phi_a
+
+    flips = 0
+    for omega, before, after in _phase_law_pairs(random_product_states, QUBIT_A):
+        assert_moves(before, after, {"phi_a": None, "chi": None})
+        assert angle_distance(signed_phi_a(after),
+                              signed_phi_a(before) + omega) <= 1e-12
+        flips += (before.chi < 0.5 * PI) != (after.chi < 0.5 * PI)
+    assert flips > 0
+
+
+@STATE_DRAWS
+def test_controlled_phase_keeps_theta_a_theta_b_phi_b_and_zeta_b(draw_states):
+    # phi_a, chi and xi move by amounts that depend on the state, and on a
+    # product state the phase entangles, so xi_undefined can clear
+    for _, before, after in _phase_law_pairs(draw_states, CONTROLLED):
+        for name in ("theta_a", "theta_b", "phi_b", "zeta_b"):
+            assert angle_distance(getattr(after, name),
+                                  getattr(before, name)) <= 1e-12, name

@@ -547,6 +547,36 @@ def test_benchmark_error_commands_emit_json_errors(capsys, monkeypatch, name,
     assert isinstance(json.loads(out)["error"], str)
 
 
+# ASCII, a quote, a backslash, control characters, and non-ASCII characters
+# inside and beyond the BMP (the second written as a surrogate pair)
+JSON_TEXT = st.text(st.sampled_from('ab"\\\x00\x08\t\n\x1f\x7fé\u2028𝄞'),
+                    max_size=8)
+JSON_LEAVES = (st.floats() | st.integers() | st.booleans() | st.none() | JSON_TEXT
+               | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                  1e308]))
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(obj=JSON_TREES)
+def test_json_writer_matches_json_dumps_indent_2(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [(1.0, 2.0), {1.0}, {"a": [0, (1,)]},
+                                 {"a": {"b": {2}}}, {1: 2}],
+                         ids=["tuple", "set", "nested-tuple", "nested-set",
+                              "int-key"])
+def test_json_writer_rejects_what_the_cli_never_writes(obj):
+    # json.dumps writes a tuple as a list and an int key as a string; the
+    # CLI builds only lists and str keys, so the writer rejects the rest
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
 # runs in a fresh interpreter, so nothing the test process imported counts
 NUMPY_PROBE = """
 import contextlib, io, json, sys

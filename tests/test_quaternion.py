@@ -13,9 +13,27 @@ from hopfbloch import (
     to_complex_pair,
     wrap_angle,
 )
-from hopfbloch.quaternion import TWO_PI, I, J, K, ONE, _wrapped_distance
+from hopfbloch.quaternion import (
+    TWO_PI,
+    I,
+    J,
+    K,
+    ONE,
+    _hamilton,
+    _wrapped_distance,
+)
 
-from helpers import NotUnit, conjugate_rotate, quaternion_close, random_quaternion
+from helpers import (
+    SPECIAL_FLOATS,
+    NotUnit,
+    conjugate_rotate,
+    quaternion_close,
+    random_quaternion,
+    reference_mul,
+    same_bits,
+    same_quaternion_bits,
+    special_quaternions,
+)
 
 
 def test_basis_multiplication_table_exact():
@@ -37,6 +55,28 @@ def test_mul_identity_and_hand_expansion():
         assert ONE * q == q
     # (1+i)(1+j) expands to 1 + i + j + ij = 1 + i + j + k
     assert (ONE + I) * (ONE + J) == Quaternion(1, 1, 1, 1)
+
+
+def test_hamilton_product_matches_the_inline_formula_bit_for_bit():
+    # Quaternion.__mul__ multiplies through _hamilton; reference_mul spells
+    # the formula out on the objects.  Both must agree on every bit: signed
+    # zeros, subnormals, overflowing products and NaN included
+    rng = np.random.default_rng(62)
+    qs = special_quaternions(rng, 4000)
+    fixed = (ONE, I, J, K, -ONE, Quaternion(), -Quaternion())
+    pairs = list(zip(qs[::2], qs[1::2]))
+    pairs += [pair for p in fixed for q in qs[:100] for pair in ((p, q), (q, p))]
+    for p, q in pairs:
+        want = reference_mul(p, q)
+        assert same_quaternion_bits(p * q, want), (p, q)
+        got = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
+        assert all(map(same_bits, got, (want.w, want.x, want.y, want.z)))
+    scalars = SPECIAL_FLOATS + (2, -3, 0, True) + tuple(rng.normal(size=20).tolist())
+    for p in qs[:200]:
+        for r in scalars:
+            want = reference_mul(p, r)
+            assert same_quaternion_bits(p * r, want), (p, r)
+            assert same_quaternion_bits(r * p, want), (r, p)
 
 
 def test_complex_scalar_is_not_a_real_scalar():
@@ -204,11 +244,6 @@ def test_wrapped_distance_matches_builtin_min_bit_for_bit():
     def builtin_min(a, b):
         d = abs(a - b)
         return min(d, TWO_PI - d)
-
-    def same_bits(x, y):
-        if math.isnan(x) or math.isnan(y):
-            return math.isnan(x) and math.isnan(y)
-        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
     rng = np.random.default_rng(61)
     pairs = [tuple(p) for p in rng.uniform(0.0, TWO_PI, size=(10**5, 2)).tolist()]

@@ -1,7 +1,8 @@
-"""The per-sample path of ``trajectory`` calls no builtin min or max and
-looks up no Enum member by attribute: on Python 3.11 each of those runs as
-Python code (the builtin call's argument handling, EnumType.__getattr__)
-where a comparison or a module-level name runs in C."""
+"""The per-sample path of ``trajectory`` and the per-state path of the
+``check`` command call no builtin min or max and look up no Enum member by
+attribute: on Python 3.11 each of those runs as Python code (the builtin
+call's argument handling, EnumType.__getattr__) where a comparison or a
+module-level name runs in C."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
 
 HOT = {
-    "quaternion": ("_wrapped_distance",),
-    "hopf": ("_base_angles",),
+    "quaternion": ("_wrapped_distance", "_hamilton"),
+    "hopf": ("_base_angles", "h1"),
+    "state": ("quasi_density",),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory"),
+    "cli": ("_deviations",),
 }
 BUILTINS = {"min", "max"}
 ENUMS = {"CoordFlag", "GateKind", "Stage"}

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from hopfbloch import (
     Basis,
+    HopfBlochError,
     NotNormalized,
     OffSphere,
+    QuasiDensity,
     QuasiState,
     Quaternion,
     S4Point,
@@ -18,6 +20,7 @@ from hopfbloch import (
     bell_state,
     concurrence,
     extract,
+    h1,
     partial_trace_projection,
     phase_aligned_distance,
     quasi_density,
@@ -36,7 +39,13 @@ from helpers import (
     random_product_states,
     random_states,
     random_unitary_2x2,
+    reference_h1,
+    reference_matmul,
     reference_phase_aligned_distance,
+    reference_quasi_density,
+    same_quaternion_bits,
+    special_quaternions,
+    unit_pair,
 )
 
 CONC_TERM = ((Quaternion(), -J), (J, Quaternion()))  # ((0,-j),(j,0))
@@ -128,6 +137,55 @@ def test_quasi_density_decomposition_both_bases():
                                     tol=1e-9)
             assert quaternion_close(rho.e10 - det_q, embed_complex(red[1, 0]),
                                     tol=1e-9)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the HopfBlochError it raises."""
+    try:
+        return f(*args)
+    except HopfBlochError as exc:
+        return type(exc), str(exc)
+
+
+def _same_density_bits(a: QuasiDensity, b: QuasiDensity) -> bool:
+    return all(map(same_quaternion_bits, a.entries(), b.entries()))
+
+
+def test_quasi_density_matmul_and_h1_match_the_object_route_bit_for_bit():
+    # quasi_density, matmul and h1 multiply through quaternion._hamilton;
+    # the reference copies multiply Quaternion objects with the formula
+    # inline.  Both must agree on every bit or raise the same error
+    rng = np.random.default_rng(63)
+    specials = special_quaternions(rng, 3000)
+    pairs = [pair for q0, q1 in zip(specials[::2], specials[1::2])
+             for pair in ((q0, q1), unit_pair(q0, q1))]
+    states = random_states(rng, 300) + random_product_states(rng, 100) + [
+        TwoQubitState(1, 0, 0, 0), TwoQubitState(0, 0, 1, 0),
+        TwoQubitState(0, 0, 0, -1), bell_state("11")]
+    pairs += [(qs.q0, qs.q1) for s in states for qs in
+              (quasi_state(s, Basis.A), quasi_state(s, Basis.B))]
+    densities = fibers = 0
+    for q0, q1 in pairs:
+        got = _outcome(quasi_density, QuasiState(q0, q1))
+        want = _outcome(reference_quasi_density, QuasiState(q0, q1))
+        if isinstance(want, QuasiDensity):
+            densities += 1
+            assert _same_density_bits(got, want), (q0, q1)
+            assert _same_density_bits(got.matmul(got),
+                                      reference_matmul(want, want)), (q0, q1)
+        else:
+            assert got == want
+        got, want = _outcome(h1, q0, q1), _outcome(reference_h1, q0, q1)
+        if isinstance(want, Quaternion):
+            fibers += 1
+            assert same_quaternion_bits(got, want), (q0, q1)
+        else:
+            assert got == want
+    assert densities >= 1000 and fibers >= 1000
+    # matmul of arbitrary entries, overflow and NaN included
+    for entries in zip(*[iter(specials)] * 8):
+        a, b = QuasiDensity(*entries[:4]), QuasiDensity(*entries[4:])
+        assert _same_density_bits(a.matmul(b), reference_matmul(a, b))
 
 
 def test_reduced_density_examples():

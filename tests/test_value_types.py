@@ -1,5 +1,5 @@
-"""The value types on the trajectory hot path behave as frozen dataclasses,
-and TwoQubitState's renormalisation is pinned to the bit."""
+"""The value types on the trajectory and ``check`` hot paths behave as frozen
+dataclasses, and TwoQubitState's renormalisation is pinned to the bit."""
 
 import copy
 import dataclasses
@@ -18,6 +18,7 @@ from hopfbloch import (
     CoordFlag,
     NotNormalized,
     Quaternion,
+    S4Point,
     TwoQubitState,
 )
 from hopfbloch.gates import Stage, TrajectorySample
@@ -29,6 +30,7 @@ COORDS = BlochCoordinates(0.5, 1.0, 1.5, 2.0, 0.25, 3.0, 0.125,
                           frozenset({CoordFlag.XI_UNDEFINED}))
 SAMPLE = TrajectorySample(Stage.ROTATION_RAMP, 0.5, STATE, COORDS)
 QUAT = Quaternion(0.5, -1.0, 2.0, 0.25)
+POINT = S4Point(0.5, -0.5, 0.25, 0.125, -0.75)
 
 STATE_REPR = "TwoQubitState(alpha=0.6, beta=0.8j, gamma=0, delta=0)"
 COORDS_REPR = ("BlochCoordinates(theta_a=0.5, phi_a=1.0, chi=1.5, xi=2.0, "
@@ -38,9 +40,11 @@ SAMPLE_REPR = (f"TrajectorySample(stage=<Stage.ROTATION_RAMP: 'rotation'>, "
                f"s=0.5, state={STATE_REPR}, coords={COORDS_REPR}, "
                f"branch_flip=False)")
 QUAT_REPR = "Quaternion(w=0.5, x=-1.0, y=2.0, z=0.25)"
+POINT_REPR = "S4Point(x0=0.5, x1=-0.5, x2=0.25, x3=0.125, x4=-0.75)"
 
 VALUES = {"state": (STATE, STATE_REPR), "coords": (COORDS, COORDS_REPR),
-          "sample": (SAMPLE, SAMPLE_REPR), "quaternion": (QUAT, QUAT_REPR)}
+          "sample": (SAMPLE, SAMPLE_REPR), "quaternion": (QUAT, QUAT_REPR),
+          "s4_point": (POINT, POINT_REPR)}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -108,7 +112,7 @@ def _hand_initialised():
 
 def test_hand_written_inits_follow_their_fields():
     examples = {TwoQubitState: STATE, BlochCoordinates: COORDS,
-                TrajectorySample: SAMPLE, Quaternion: QUAT}
+                TrajectorySample: SAMPLE, Quaternion: QUAT, S4Point: POINT}
     # a new init=False dataclass needs an example here
     assert _hand_initialised() == set(examples)
     for cls, example in examples.items():
