@@ -15,8 +15,9 @@ import functools
 import math
 import os
 import sys
+from array import array
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import svg
 from .bloch import (
@@ -35,7 +36,7 @@ from .errors import (
     SouthPoleA,
     UnknownGate,
 )
-from .gates import GateSpec, Trajectory, trajectory
+from .gates import GateSpec, TrajectorySample, _samples
 from .hopf import CoordFlag, h1, inverse_stereographic
 from .quaternion import Quaternion, _sphere_point, angle_distance
 from .state import (
@@ -218,70 +219,98 @@ def _make_gate(args) -> GateSpec:
 
 _CSV_HEADER = ("stage,s,alpha_re,alpha_im,beta_re,beta_im,gamma_re,gamma_im,"
                "delta_re,delta_im," + ",".join(_ANGLES) + ",concurrence,branch_flip")
+# one CSV row: the stage, _sample_numbers at 12 digits, the branch flip
+_CSV_ROW = "\n%s," + ",".join(["%.12g"] * 17) + ",%d"
 
 
-def _traj_csv(traj: Trajectory) -> str:
-    lines = [_CSV_HEADER]
-    for smp in traj.samples:
-        cells = [smp.stage.value, f"{smp.s:.12g}"]
-        for z in smp.state.amplitudes():
-            cells += [f"{z.real:.12g}", f"{z.imag:.12g}"]
-        cells += [f"{a:.12g}" for a in smp.coords.angles()]
-        cells.append(f"{smp.coords.concurrence:.12g}")
-        cells.append("1" if smp.branch_flip else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+def _num(v: float) -> str:
+    """_json(_round12(v)), without the round trip through float where the
+    12-digit text already is the shortest repr of the float it reads as: it
+    has a '.' or an 'e-', and v is neither subnormal nor 1e11 or more (so
+    the text has no 'e+')."""
+    text = f"{v:.12g}"
+    if 1e-300 <= abs(v) < 1e11 and ("." in text or "e-" in text):
+        return text
+    return _json(float(text))
 
 
-def _traj_json(traj: Trajectory) -> dict:
-    g = traj.gate
-    return {
-        "gate": {
-            "kind": g.kind.value,
-            "axis": [_round12(a) for a in g.axis],
-            "eta": _round12(g.eta),
-            "omega": _round12(g.omega),
-        },
-        "samples": [
-            {
-                "stage": smp.stage.value,
-                "s": _round12(smp.s),
-                "amplitudes": [_pair(z) for z in smp.state.amplitudes()],
-                "angles": _rounded(_ANGLES, smp.coords.angles()),
-                "concurrence": _round12(smp.coords.concurrence),
-                "flags": _flag_names(smp.coords),
-                "branch_flip": smp.branch_flip,
-            }
-            for smp in traj.samples
-        ],
+# one JSON sample record after its separator, at its indent in the samples
+# list: a stage value needs no escaping, and every other %s takes its value's
+# JSON text.  That makes 21 values; CPython 3.11 frees a tuple of 20 to a
+# free list that it never draws from, which keeps up to 400 KB.
+_SAMPLE_JSON = "%s" + _json({
+    "stage": "%s", "s": "%s", "amplitudes": [["%s", "%s"]] * 4,
+    "angles": dict.fromkeys(_ANGLES, "%s"),
+    "concurrence": "%s", "flags": "%s", "branch_flip": "%s",
+}, "\n    ").replace('"%s"', "%s").replace('"stage": %s', '"stage": "%s"')
+
+
+def _sample_numbers(smp: TrajectorySample) -> tuple[float, ...]:
+    """s, the amplitudes' real and imaginary parts, the seven angles and the
+    concurrence of one sample, in the order traj writes them."""
+    a, b, g, d = smp.state.amplitudes()
+    c = smp.coords
+    return (smp.s, a.real, a.imag, b.real, b.imag, g.real, g.imag,
+            d.real, d.imag, *c.angles(), c.concurrence)
+
+
+def _sample_json(sep: str, smp: TrajectorySample) -> str:
+    return _SAMPLE_JSON % (sep, smp.stage.value,
+                           *map(_num, _sample_numbers(smp)),
+                           _json(_flag_names(smp.coords), "\n      "),
+                           "true" if smp.branch_flip else "false")
+
+
+def _traj_csv(samples: Iterator[TrajectorySample]) -> Iterator[str]:
+    yield _CSV_HEADER
+    for smp in samples:
+        yield _CSV_ROW % (smp.stage.value, *_sample_numbers(smp), smp.branch_flip)
+
+
+def _traj_json(g: GateSpec, samples: Iterator[TrajectorySample]) -> Iterator[str]:
+    gate = {
+        "kind": g.kind.value,
+        "axis": [_round12(a) for a in g.axis],
+        "eta": _round12(g.eta),
+        "omega": _round12(g.omega),
     }
+    yield '{\n  "gate": ' + _json(gate, "\n  ") + ',\n  "samples": ['
+    sep = "\n    "
+    for smp in samples:
+        yield _sample_json(sep, smp)
+        sep = ",\n    "
+    yield "\n  ]\n}"
 
 
-def _traj_svg(traj: Trajectory) -> str:
-    sphere_a, sphere_t, sphere_b = [], [], []
-    for smp in traj.samples:
+def _traj_svg(samples: Iterator[TrajectorySample]) -> str:
+    # each sphere's path as flat x, y, z doubles: a path is one polyline,
+    # written after its last point, so only these grow with the samples
+    paths = sphere_a, sphere_t, sphere_b = array("d"), array("d"), array("d")
+    for smp in samples:
         c = smp.coords
-        sphere_a.append(_sphere_point(c.theta_a, c.phi_a))
-        sphere_t.append(_sphere_point(c.chi, c.xi))
-        sphere_b.append(_sphere_point(c.theta_b, c.phi_b))
-    return svg.render_spheres([sphere_a, sphere_t, sphere_b])
+        sphere_a.extend(_sphere_point(c.theta_a, c.phi_a))
+        sphere_t.extend(_sphere_point(c.chi, c.xi))
+        sphere_b.extend(_sphere_point(c.theta_b, c.phi_b))
+    return svg.render_spheres(paths)
 
 
-# samples per ramp; trajectory builds its whole schedule before sampling
+# samples per ramp
 _MAX_RAMP_SAMPLES = 10 ** 6
 
 
-def cmd_traj(args) -> tuple[int, str]:
+def cmd_traj(args) -> tuple[int, str | Iterator[str]]:
+    """Checks every argument before any output; JSON and CSV then come as
+    pieces, a sample each, that _run writes as they are built."""
     if not (2 <= args.n1 <= _MAX_RAMP_SAMPLES and 2 <= args.n2 <= _MAX_RAMP_SAMPLES):
         raise ParseError(f"--n1 and --n2 must be between 2 and {_MAX_RAMP_SAMPLES}")
     gate = _make_gate(args)
     state, _ = _parse_state(args)
-    traj = trajectory(gate, state, args.n1, args.n2)
+    samples = _samples(gate, state, args.n1, args.n2)
     if args.format == "csv":
-        return 0, _traj_csv(traj)
+        return 0, _traj_csv(samples)
     if args.format == "svg":
-        return 0, _traj_svg(traj)
-    return 0, _json(_traj_json(traj))
+        return 0, _traj_svg(samples)
+    return 0, _traj_json(gate, samples)
 
 
 _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
@@ -506,10 +535,14 @@ def _run(argv) -> int:
         kind, code = next((kind, code) for cls, kind, code in _ERRORS
                           if isinstance(exc, cls))
         text = _json({"error": kind, "message": str(exc)})
-    # print writes the final newline in a write of its own.  Unbuffered, a
-    # closed pipe can cut the text short without an error, but that second
-    # write then raises BrokenPipeError, which main turns into exit 1.
-    print(text)
+    write = sys.stdout.write
+    for piece in (text,) if isinstance(text, str) else text:
+        write(piece)
+    # the final newline goes in a write of its own, as print writes it.
+    # Unbuffered, a closed pipe can cut the text short without an error, but
+    # that last write then raises BrokenPipeError, which main turns into
+    # exit 1.
+    write("\n")
     return code
 
 

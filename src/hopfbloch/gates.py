@@ -14,7 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator
 
 from .bloch import (
     BlochCoordinates,
@@ -160,6 +161,15 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
     when it is wrap-closer to the previous sample, and branch_flip marks each
     change of branch.  South-pole samples are flagged, canonical, not fatal.
     """
+    return Trajectory(g, tuple(_samples(g, s, n1, n2)))
+
+
+def _samples(g: GateSpec, s: TwoQubitState, n1: int,
+             n2: int) -> Iterator[TrajectorySample]:
+    """trajectory's samples, one at a time, so memory stays flat in n1 + n2.
+
+    Every argument is checked here, before the first sample is built.
+    """
     if n1 < 2 or n2 < 2:
         raise ValueError("n1 and n2 must be at least 2")
     # the largest products the schedule forms; finite endpoints can overflow
@@ -167,17 +177,21 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         raise OutOfRange(f"the sweep of eta = {g.eta!r} over n1 = {n1} or of "
                          f"omega = {g.omega!r} over n2 = {n2} samples "
                          "overflows a float")
-    schedule = [(_PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
-                for i in range(n1)]
-    schedule += [(_ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
-                 for i in range(n2)]
+    schedule = chain(
+        ((_PHASE_RAMP, i / (n1 - 1), g.eta * i / (n1 - 1), 0.0)
+         for i in range(n1)),
+        ((_ROTATION_RAMP, i / (n2 - 1), g.eta, g.omega * i / (n2 - 1))
+         for i in range(n2)))
+    return _sample_path(g, s, schedule)
 
-    samples = []
+
+def _sample_path(g: GateSpec, s: TwoQubitState,
+                 schedule: Iterator[tuple]) -> Iterator[TrajectorySample]:
     prev = None
     prev_alt = False
     for stage, frac, eta, omega in schedule:
-        # g was validated when built and its sweep checked above, so every
-        # (eta, omega) here is finite
+        # g was validated when built and its sweep checked by _samples, so
+        # every (eta, omega) here is finite
         state = _apply(g, eta, omega, s)
         try:
             canon = extract(state)
@@ -187,10 +201,6 @@ def trajectory(g: GateSpec, s: TwoQubitState, n1: int = 32,
         else:
             coords = canon if prev is None else _nearer_branch(canon, prev)
             use_alt = coords is not canon
-        samples.append(TrajectorySample(stage, frac, state, coords,
-                                        use_alt != prev_alt))
+        yield TrajectorySample(stage, frac, state, coords, use_alt != prev_alt)
         prev = coords
         prev_alt = use_alt
-
-    return Trajectory(g, tuple(samples))
-

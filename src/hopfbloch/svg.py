@@ -7,6 +7,7 @@ polyline, and start/end markers.  Output is deterministic byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _SIZE = 240
@@ -41,7 +42,8 @@ def _polyline(points, cx: float, cy: float, style: str) -> str:
     return f'<polyline fill="none" {style} points="{coords}"/>'
 
 
-def _wireframe(cx: float, cy: float) -> list[str]:
+@functools.cache  # built on first use, so importing stays cheap
+def _wireframe(cx: float, cy: float) -> tuple[str, ...]:
     steps = 72
     ring = [i * 2.0 * math.pi / steps for i in range(steps + 1)]
     equator = [(math.cos(a), math.sin(a), 0.0) for a in ring]
@@ -52,7 +54,7 @@ def _wireframe(cx: float, cy: float) -> list[str]:
              'fill="none" stroke="#404040" stroke-width="1.2"/>']
     parts += [_polyline(pts, cx, cy, grid)
               for pts in (equator, meridian_a, meridian_b)]
-    return parts
+    return tuple(parts)
 
 
 def _marker(v, cx: float, cy: float, color: str) -> str:
@@ -64,8 +66,9 @@ def _marker(v, cx: float, cy: float, color: str) -> str:
 def render_spheres(paths) -> str:
     """SVG document with one group per sphere.
 
-    ``paths`` is a sequence of three point lists (unit 3-vectors), ordered
-    qubit-A sphere, entanglement sphere, qubit-B sphere.
+    ``paths`` holds three flat sequences of unit 3-vector coordinates
+    (x0, y0, z0, x1, ...), ordered qubit-A sphere, entanglement sphere,
+    qubit-B sphere.
     """
     width = _SIZE * len(_PANELS)
     parts = [
@@ -79,10 +82,11 @@ def render_spheres(paths) -> str:
         parts.append(f'<g class="sphere" id="{name}">')
         parts.extend(_wireframe(cx, cy))
         if points:
-            parts.append(_polyline(points, cx, cy,
+            xyz = iter(points)
+            parts.append(_polyline(zip(xyz, xyz, xyz), cx, cy,
                                    'stroke="#c03028" stroke-width="1.6"'))
-            parts.append(_marker(points[0], cx, cy, "#2060c0"))
-            parts.append(_marker(points[-1], cx, cy, "#c03028"))
+            parts.append(_marker(points[:3], cx, cy, "#2060c0"))
+            parts.append(_marker(points[-3:], cx, cy, "#c03028"))
         parts.append(f'<text x="{_fmt(cx)}" y="18" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12">{label}</text>')
         parts.append("</g>")

@@ -34,6 +34,15 @@ from hopfbloch import (
     reduced_density,
 )
 from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
+from hopfbloch.cli import (
+    _ANGLES,
+    _CSV_HEADER,
+    _flag_names,
+    _pair,
+    _round12,
+    _rounded,
+)
+from hopfbloch.gates import Trajectory
 from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
 from hopfbloch.tolerances import EPS_UNIT, EPS_ZERO
 
@@ -460,3 +469,42 @@ def phase_family_state(a: float, b: float, c: float, d: float,
                          g * b * cmath.exp(-1j * phi2),
                          g * c * cmath.exp(1j * phi2),
                          g * d * cmath.exp(1j * phi1))
+
+
+# traj's writers before they streamed, kept as the oracles of the streamed
+# ones: the whole output of a Trajectory, built in one piece
+def reference_traj_csv(traj: Trajectory) -> str:
+    lines = [_CSV_HEADER]
+    for smp in traj.samples:
+        cells = [smp.stage.value, f"{smp.s:.12g}"]
+        for z in smp.state.amplitudes():
+            cells += [f"{z.real:.12g}", f"{z.imag:.12g}"]
+        cells += [f"{a:.12g}" for a in smp.coords.angles()]
+        cells.append(f"{smp.coords.concurrence:.12g}")
+        cells.append("1" if smp.branch_flip else "0")
+        lines.append(",".join(cells))
+    return "\n".join(lines)
+
+
+def reference_traj_json(traj: Trajectory) -> dict:
+    g = traj.gate
+    return {
+        "gate": {
+            "kind": g.kind.value,
+            "axis": [_round12(a) for a in g.axis],
+            "eta": _round12(g.eta),
+            "omega": _round12(g.omega),
+        },
+        "samples": [
+            {
+                "stage": smp.stage.value,
+                "s": _round12(smp.s),
+                "amplitudes": [_pair(z) for z in smp.state.amplitudes()],
+                "angles": _rounded(_ANGLES, smp.coords.angles()),
+                "concurrence": _round12(smp.coords.concurrence),
+                "flags": _flag_names(smp.coords),
+                "branch_flip": smp.branch_flip,
+            }
+            for smp in traj.samples
+        ],
+    }

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import contextlib
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfbloch import (
+    GateSpec,
     OffSphere,
     QuasiDensity,
     Quaternion,
@@ -24,11 +27,19 @@ from hopfbloch import (
     bell_state,
     inverse_stereographic,
     phase_aligned_distance,
+    trajectory,
 )
-from hopfbloch import cli
+from hopfbloch import cli, svg
 from hopfbloch.cli import main
 
-from helpers import SQ2, random_states, reference_check_table
+from helpers import (
+    SQ2,
+    random_product_states,
+    random_states,
+    reference_check_table,
+    reference_traj_csv,
+    reference_traj_json,
+)
 
 PI = math.pi
 
@@ -543,8 +554,30 @@ def test_benchmark_error_commands_emit_json_errors(capsys, monkeypatch, name,
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out = run(capsys, argv)
-    assert code in (2, 3, 4)
-    assert isinstance(json.loads(out)["error"], str)
+    assert (code, out) == ERROR_PAYLOADS[name]
+
+
+# each benchmark error command's exit code and stdout, byte for byte
+ERROR_PAYLOADS = {
+    "bad-bell": (2, '{\n  "error": "parse",\n  "message": "--bell: bell code '
+                    'must be one of [\'00\', \'01\', \'10\', \'11\'], got '
+                    '\'22\'"\n}\n'),
+    "unknown-gate": (4, '{\n  "error": "unknown_gate",\n  "message": "unknown '
+                        'gate \'foo\'; use cnot, cz, swap or cu"\n}\n'),
+    "south-pole": (3, '{\n  "error": "south_pole_a",\n  "message": "state is '
+                      '|1>_A (x) |psi_B>; seven-angle coordinates undefined, '
+                      'use the single-qubit fallback",\n  "psi_b": [\n    [\n'
+                      '      1.0,\n      0.0\n    ],\n    [\n      0.0,\n'
+                      '      0.0\n    ]\n  ]\n}\n'),
+    "angle-range": (3, '{\n  "error": "out_of_range",\n  "message": "theta_a '
+                       '= 9.0 outside [0, pi]"\n}\n'),
+    "bad-axis": (2, '{\n  "error": "parse",\n  "message": "bad --axis '
+                    '\'a,b,c\': could not convert string to float: \'a\'"\n}\n'),
+    "bad-seed-env": (2, '{\n  "error": "parse",\n  "message": "HOPFBLOCH_SEED '
+                        'must be an integer, got \'abc\'"\n}\n'),
+    "negative-count": (2, '{\n  "error": "parse",\n  "message": "--count must '
+                          'be at least 1, got -1"\n}\n'),
+}
 
 
 # ASCII, a quote, a backslash, control characters, and non-ASCII characters
@@ -575,6 +608,133 @@ def test_json_writer_rejects_what_the_cli_never_writes(obj):
     # CLI builds only lists and str keys, so the writer rejects the rest
     with pytest.raises(TypeError):
         cli._json(obj)
+
+
+# the specials of _num's fast path: zeros, subnormals, the smallest normal,
+# each end of the magnitudes it takes, texts with an 'e+', and non-finites
+NUM_EXAMPLES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300,
+                -1e-300, 99999999999.99, 1e11, 1.5e13, 1e16, math.inf,
+                -math.inf, math.nan)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(v=st.floats())
+def test_num_writes_what_json_writes_for_the_rounded_float(v):
+    assert cli._num(v) == cli._json(cli._round12(v))
+
+
+@pytest.mark.parametrize("v", NUM_EXAMPLES)
+def test_num_on_its_specials(v):
+    assert cli._num(v) == cli._json(cli._round12(v))
+
+
+def _writer_pool():
+    """Every gate kind, a zero-rotation and two random controlled-U gates,
+    and the Bell, basis, product, Haar and south-pole states."""
+    rng = np.random.default_rng(21)
+    states = [bell_state(code) for code in ("00", "01", "10", "11")]
+    states += [TwoQubitState(*e) for e in np.eye(4, dtype=complex)]
+    states += random_product_states(rng, 2) + random_states(rng, 2)
+    states += [
+        TwoQubitState(0, 0, 0.6, 0.8),  # on the south pole at every sample
+        # SWAP carries this one onto the south pole from the (-b, -t) twin
+        TwoQubitState(0, math.cos(0.8) * cmath.exp(6j), 0,
+                      math.sin(0.8) * cmath.exp(0.9j)),
+    ]
+    gates = [GateSpec.cnot(), GateSpec.cz(), GateSpec.swap(),
+             GateSpec.controlled_u((0, 0, 1), 0.0, 1.5 * PI)]
+    for _ in range(2):
+        axis = rng.normal(size=3)
+        eta, omega = rng.uniform(-2 * PI, 2 * PI, size=2)
+        gates.append(GateSpec.controlled_u(tuple(axis / np.linalg.norm(axis)),
+                                           float(omega), float(eta)))
+    return gates, states
+
+
+def test_streamed_traj_writers_match_the_whole_text_writers():
+    gates, states = _writer_pool()
+    flips = 0
+    flag_counts = set()
+    for g in gates:
+        for s in states:
+            # each of 2, 3 and 32 on each ramp
+            for n1, n2 in ((2, 2), (2, 32), (3, 3), (32, 3), (32, 32)):
+                traj = trajectory(g, s, n1, n2)
+                streamed = "".join(cli._traj_json(g, iter(traj.samples)))
+                assert streamed == cli._json(reference_traj_json(traj))
+                streamed = "".join(cli._traj_csv(iter(traj.samples)))
+                assert streamed == reference_traj_csv(traj)
+                flips += sum(smp.branch_flip for smp in traj.samples)
+                flag_counts.update(len(smp.coords.flags)
+                                   for smp in traj.samples)
+    assert flips > 0
+    # phi_b_undefined (|v| = 0) and theta_b_pi_ambiguous (|u| = 0) never
+    # hold together, so a sample carries at most five of the six flags
+    assert flag_counts == {0, 1, 2, 3, 4, 5}
+
+
+class _CountingSink:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# tracemalloc peak of one `traj cz --bell 10 --n1 20000 --n2 2` run.  JSON
+# and CSV are written a sample at a time, so their peak (about 10 KB) does
+# not grow with the sample count; 1 MiB over 20 002 samples leaves no room
+# for 53 bytes kept per sample.  Before they streamed, JSON peaked at 84 MB
+# and CSV at 22 MB.
+STREAMED_PEAK_BYTES = 1 << 20
+# SVG writes each sphere's path as one polyline, so it keeps every point: 72
+# bytes a sample as doubles (1.4 MB here) and the text built from them, 3.7
+# MB at its peak.  Kept as tuples of floats, the points alone took 11 MB.
+SVG_PEAK_BYTES = 5 << 20
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", STREAMED_PEAK_BYTES),
+                                        ("csv", STREAMED_PEAK_BYTES),
+                                        ("svg", SVG_PEAK_BYTES)])
+def test_traj_memory_stays_flat_in_the_sample_count(fmt, bound):
+    argv = ["traj", "cz", "--bell", "10", "--n2", "2", "--format", fmt]
+    with contextlib.redirect_stdout(_CountingSink()):
+        main(argv + ["--n1", "2"])  # the parser and caches, built once
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv + ["--n1", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 800_000  # the output itself is larger than the bound
+    assert peak < bound, f"{fmt} peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("argv", [
+    ["traj", "cz", "--bell", "00", "--n1", "1"],
+    ["traj", "toffoli", "--bell", "00"],
+    ["traj", "cnot", "--axis", "0,0,1", "--bell", "00"],
+    ["traj", "cz", "--state", "1,0;1,0;0,0;0,0"],
+    ["traj", "cu", "--axis", "0,0,1", "--omega", "1e308", "--bell", "00"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_traj_errors_are_raised_before_the_first_byte(argv, fmt):
+    # the error is the whole of stdout: one piece, then its newline
+    pieces = []
+    with contextlib.redirect_stdout(mock.Mock(write=pieces.append)):
+        code = main(argv + ["--format", fmt])
+    assert code in (2, 3, 4)
+    assert len(pieces) == 2 and pieces[1] == "\n"
+    assert isinstance(json.loads(pieces[0])["error"], str)
 
 
 # runs in a fresh interpreter, so nothing the test process imported counts
@@ -785,6 +945,18 @@ def test_build_parser_is_shared_and_not_built_on_import():
     proc = subprocess.run(
         [sys.executable, "-c", "import hopfbloch.cli as cli; "
                                "print(cli.build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_svg_wireframe_is_shared_and_not_built_on_import():
+    wireframe = svg._wireframe(120.0, 124.8)
+    assert isinstance(wireframe, tuple)
+    assert svg._wireframe(120.0, 124.8) is wireframe
+    env = dict(os.environ, PYTHONPATH=str(BENCHMARKS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hopfbloch.cli, hopfbloch.svg as svg; "
+                               "print(svg._wireframe.cache_info().currsize)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout == "0\n"
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from hopfbloch.bloch import (
     coords_distance,
     south_pole_coords,
 )
+from hopfbloch import gates
 from hopfbloch.gates import Trajectory, TrajectorySample
 from hopfbloch.quaternion import angle_distance
 
@@ -279,6 +281,24 @@ def test_trajectory_sweep_overflow_is_out_of_range(eta, omega):
     assert len(trajectory(g, bell_state("00"), 2, 2).samples) == 4
     with pytest.raises(OutOfRange):
         trajectory(g, bell_state("00"))
+
+
+def test_samples_checks_before_the_first_sample_and_builds_no_schedule():
+    s = bell_state("00")
+    # raised by the call itself, not by the first next() of the generator
+    with pytest.raises(ValueError):
+        gates._samples(GateSpec.cz(), s, 1, 2)
+    with pytest.raises(OutOfRange):
+        gates._samples(GateSpec.controlled_u((0, 0, 1), 1e308, PI / 2), s, 32, 32)
+    # a schedule of 2 * 10**6 samples, built whole, would take over 100 MB
+    tracemalloc.start()
+    try:
+        first = next(gates._samples(GateSpec.cz(), s, 10 ** 6, 10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == trajectory(GateSpec.cz(), s, 2, 2).samples[0]
+    assert peak < 100_000
 
 
 def reference_trajectory(g, s, n1=32, n2=32):

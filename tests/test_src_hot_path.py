@@ -1,8 +1,8 @@
-"""The per-sample path of ``trajectory`` and the per-state path of the
-``check`` command call no builtin min or max and look up no Enum member by
-attribute: on Python 3.11 each of those runs as Python code (the builtin
-call's argument handling, EnumType.__getattr__) where a comparison or a
-module-level name runs in C."""
+"""The per-sample path of ``trajectory`` and of the ``traj`` writers, and
+the per-state path of the ``check`` command, call no builtin min or max and
+look up no Enum member by attribute: on Python 3.11 each of those runs as
+Python code (the builtin call's argument handling, EnumType.__getattr__)
+where a comparison or a module-level name runs in C."""
 
 import ast
 from pathlib import Path
@@ -15,8 +15,9 @@ HOT = {
     "state": ("quasi_density",),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
-    "gates": ("_apply", "trajectory"),
-    "cli": ("_deviations",),
+    "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
+    "cli": ("_deviations", "_num", "_sample_numbers", "_sample_json",
+            "_traj_json", "_traj_csv", "_traj_svg"),
 }
 BUILTINS = {"min", "max"}
 ENUMS = {"CoordFlag", "GateKind", "Stage"}
