@@ -40,15 +40,14 @@ from .gates import GateSpec, TrajectorySample, _samples
 from .hopf import CoordFlag, h1, inverse_stereographic
 from .quaternion import Quaternion, _sphere_point, angle_distance
 from .state import (
-    Basis,
     TwoQubitState,
+    _projection_entries,
+    _reduced_entries,
     bell_state,
     concurrence,
-    partial_trace_projection,
     phase_aligned_distance,
     quasi_density,
     quasi_state,
-    reduced_density,
 )
 from .tolerances import EPS_NUM
 
@@ -327,60 +326,76 @@ def _nan_max(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+def _distance(p: Quaternion, q: Quaternion) -> float:
+    """(p - q).norm(), without the intermediate Quaternion."""
+    w = p.w - q.w
+    x = p.x - q.x
+    y = p.y - q.y
+    z = p.z - q.z
+    return math.sqrt(w * w + x * x + y * y + z * z)
+
+
 def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
     """The state's deviation from each of _INVARIANTS but reduced_vs_oracle,
-    in that order, and the three 2x2 matrices that _check_table compares
-    with its dense oracle for reduced_vs_oracle; fib is the unit fiber
-    element for fiber_invariance."""
+    in that order, and the 12 entries of the three 2x2 matrices that
+    _check_table compares with its dense oracle for reduced_vs_oracle, row
+    by row; fib is the unit fiber element for fiber_invariance."""
     coords = extract(s)
     round_trip = phase_aligned_distance(s, reconstruct(coords))
 
+    a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
     c, _ = concurrence(s)
-    conc = [abs(c - coords.concurrence)]
-    if _XI_UNDEFINED not in coords.flags:
+    conc = abs(c - coords.concurrence)
+    if _XI_UNDEFINED in coords.flags:
+        conc = _nan_max((conc,))
+    else:
         claim = c * cmath.exp(1j * (coords.xi - 0.5 * math.pi))
-        det2 = 2.0 * (s.alpha * s.delta - s.beta * s.gamma)
-        conc.append(abs(claim - det2))
+        det2 = 2.0 * (a * d - b * g)
+        conc = _nan_max((conc, abs(claim - det2)))
 
-    qs = quasi_state(s, Basis.A)
+    qs = quasi_state(s)
     rho = quasi_density(qs)
     sq = rho.matmul(rho)
-    projector = _nan_max([abs(rho.trace - 1.0)]
-                         + [(e1 - e2).norm()
-                            for e1, e2 in zip(sq.entries(), rho.entries())])
+    projector = _nan_max((
+        abs(rho.trace - 1.0), _distance(sq.e00, rho.e00),
+        _distance(sq.e01, rho.e01), _distance(sq.e10, rho.e10),
+        _distance(sq.e11, rho.e11)))
 
+    # the reduced density matrices of qubits A and B, and the projection of
+    # the base point, which the oracle compares with A's
     p = coords.s4_point
-    reduced = (reduced_density(s, Basis.A), reduced_density(s, Basis.B),
-               partial_trace_projection(p))
+    reduced = (*_reduced_entries(a, b, g, d), *_reduced_entries(a, g, b, d),
+               *_projection_entries(p))
 
     ball = abs(p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2 - 1.0)
 
     try:
         base = inverse_stereographic(h1(qs.q0, qs.q1))
         moved = inverse_stereographic(h1(qs.q0 * fib, qs.q1 * fib))
-        fiber = _nan_max(abs(a - b) for a, b in
-                         zip((base.x0, base.x1, base.x2, base.x3, base.x4),
-                             (moved.x0, moved.x1, moved.x2, moved.x3, moved.x4)))
+        fiber = _nan_max((abs(base.x0 - moved.x0), abs(base.x1 - moved.x1),
+                          abs(base.x2 - moved.x2), abs(base.x3 - moved.x3),
+                          abs(base.x4 - moved.x4)))
     except FiberAtInfinity:
         # q1 = 0: every fiber element maps to the north pole, so there is
         # nothing to compare
         fiber = 0.0
-    return (round_trip, _nan_max(conc), projector, ball, fiber), reduced
+    return (round_trip, conc, projector, ball, fiber), reduced
 
 
 def _reduced_vs_oracle(states: list[TwoQubitState],
                        got: np.ndarray) -> np.ndarray:
     """Each state's deviation for reduced_vs_oracle: the largest entry
-    difference between its three 2x2 matrices in `got` (states, 3, 2, 2)
-    and the partial traces A, B and A of the dense |psi><psi|.  np.max
-    propagates NaN, so a NaN deviation fails its invariant."""
+    difference between its three 2x2 matrices, whose 12 entries are a row
+    of `got`, and the partial traces A, B and A of the dense |psi><psi|.
+    np.max propagates NaN, so a NaN deviation fails its invariant."""
     import numpy as np
     vec = np.array([s.amplitudes() for s in states], dtype=complex)
     dense = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
     dense_a = np.trace(dense, axis1=2, axis2=4)
     dense_b = np.trace(dense, axis1=1, axis2=3)
     oracle = np.stack((dense_a, dense_b, dense_a), axis=1)
-    return np.abs(got - oracle).max(axis=(2, 3)).max(axis=1)
+    diff = got.reshape(-1, 3, 2, 2) - oracle
+    return np.abs(diff).max(axis=(2, 3)).max(axis=1)
 
 
 # states per block of the check sweep: the dense oracle's arrays grow with

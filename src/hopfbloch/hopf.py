@@ -119,15 +119,18 @@ def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     |q1| vanishes: that pair belongs to the excluded north pole and the
     caller must use (1,0,0,0,0) directly.
     """
-    total = q0.norm_squared() + q1.norm_squared()
+    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
+    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
+    # the sums of q0.norm_squared() + q1.norm_squared(), in their order
+    n2 = w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1
+    total = (w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0) + n2
     if not (abs(total - 1.0) <= EPS_UNIT):
         raise NotNormalized(f"|q0|^2 + |q1|^2 = {total:.12g}, expected 1")
-    n2 = q1.norm_squared()
     if n2 <= EPS_ZERO * EPS_ZERO:
         raise FiberAtInfinity("q1 = 0 maps to the excluded north pole")
     # (q1 * q0.conjugate()) * (1.0 / n2), without the intermediate objects
     r = 1.0 / n2
-    w, x, y, z = _hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)
+    w, x, y, z = _hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0)
     return Quaternion(w * r, x * r, y * r, z * r)
 
 

@@ -133,15 +133,22 @@ def phase_aligned_distance(s1: TwoQubitState, s2: TwoQubitState) -> float:
                abs(g1 - phase * g2), abs(d1 - phase * d2))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuasiState:
     """Quaternion amplitude pair in the chosen basis; |q0|^2 + |q1|^2 = 1."""
 
     q0: Quaternion
     q1: Quaternion
 
+    def __init__(self, q0: Quaternion, q1: Quaternion):
+        _set_q0(self, q0)
+        _set_q1(self, q1)
+
     def norm_squared(self) -> float:
         return self.q0.norm_squared() + self.q1.norm_squared()
+
+
+_set_q0, _set_q1 = _slot_setters(QuasiState)
 
 
 def quasi_state(s: TwoQubitState, basis: Basis = Basis.A) -> QuasiState:
@@ -153,7 +160,7 @@ def quasi_state(s: TwoQubitState, basis: Basis = Basis.A) -> QuasiState:
                       from_complex_pair(s.beta, s.delta))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuasiDensity:
     """2x2 quaternion-entried dyad of a quasi-state.
 
@@ -164,6 +171,13 @@ class QuasiDensity:
     e01: Quaternion
     e10: Quaternion
     e11: Quaternion
+
+    def __init__(self, e00: Quaternion, e01: Quaternion, e10: Quaternion,
+                 e11: Quaternion):
+        _set_e00(self, e00)
+        _set_e01(self, e01)
+        _set_e10(self, e10)
+        _set_e11(self, e11)
 
     @property
     def trace(self) -> float:
@@ -177,6 +191,9 @@ class QuasiDensity:
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.e00, self.e01, self.e10, self.e11
+
+
+_set_e00, _set_e01, _set_e10, _set_e11 = _slot_setters(QuasiDensity)
 
 
 def _product_sum(p: Quaternion, q: Quaternion, r: Quaternion,
@@ -209,10 +226,16 @@ def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:
     a, b, c, d = s.amplitudes()
     if keep is Basis.B:
         b, c = c, b  # |0>_B holds alpha, gamma and |1>_B beta, delta
+    return np.array(_reduced_entries(a, b, c, d), dtype=complex).reshape(2, 2)
+
+
+def _reduced_entries(a: complex, b: complex, c: complex,
+                     d: complex) -> tuple[float, complex, complex, float]:
+    """The entries of ``reduced_density``, row by row, as Python numbers:
+    a, b are the amplitudes with the kept qubit in |0>, c, d in |1>."""
     off = a * c.conjugate() + b * d.conjugate()
-    return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
-                     [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
-                    dtype=complex)
+    return (abs(a) ** 2 + abs(b) ** 2, off, off.conjugate(),
+            abs(c) ** 2 + abs(d) ** 2)
 
 
 def concurrence(s: TwoQubitState) -> tuple[float, float]:
@@ -235,7 +258,17 @@ def partial_trace_projection(p: S4Point) -> np.ndarray:
     ball of radius sqrt(1 - c^2).
     """
     import numpy as np
+    return np.array(_projection_entries(p), dtype=complex).reshape(2, 2)
+
+
+def _projection_entries(p: S4Point) -> tuple[float, complex, complex, float]:
+    """The entries of ``partial_trace_projection``, row by row, as Python
+    numbers: each entry times 0.5 + 0j, the complex product that numpy forms
+    for 0.5 * array.  On the diagonal, whose imaginary part is 0.0, that
+    product is (0.5 * (1 +- x0), 0.0) for every finite x0, and validate
+    lets no other through."""
     p.validate()
     off = complex(p.x1, -p.x4)
-    return 0.5 * np.array([[1.0 + p.x0, off],
-                           [off.conjugate(), 1.0 - p.x0]], dtype=complex)
+    x0 = p.x0
+    return (0.5 * (1.0 + x0), (0.5 + 0j) * off, (0.5 + 0j) * off.conjugate(),
+            0.5 * (1.0 - x0))

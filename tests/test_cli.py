@@ -31,6 +31,7 @@ from hopfbloch import (
 )
 from hopfbloch import cli, svg
 from hopfbloch.cli import main
+from hopfbloch.state import _reduced_entries
 
 from helpers import (
     SQ2,
@@ -430,6 +431,11 @@ def _nan_x4(q):
     return S4Point(p.x0, p.x1, p.x2, p.x3, math.nan)
 
 
+def _nan_last_entry(a, b, c, d):
+    """state._reduced_entries with its last entry NaN."""
+    return (*_reduced_entries(a, b, c, d)[:3], complex(math.nan))
+
+
 # (cli global to replace, its replacement, the invariant that must FAIL);
 # the projector, reduced_vs_oracle and fiber_invariance NaNs come after a
 # finite value of the same state, where the builtin max would drop them
@@ -440,14 +446,17 @@ NAN_DEVIATIONS = [
      lambda qs: QuasiDensity(Quaternion(0.5), Quaternion(), Quaternion(),
                              Quaternion(0.5, math.nan)),
      "projector"),
-    ("partial_trace_projection", lambda p: np.full((2, 2), complex(math.nan)),
+    ("_projection_entries", lambda p: (complex(math.nan),) * 4,
      "reduced_vs_oracle"),
     ("inverse_stereographic", _nan_x4, "fiber_invariance"),
 ]
 
 
-@pytest.mark.parametrize("target, stub, invariant", NAN_DEVIATIONS,
-                         ids=[inv for _, _, inv in NAN_DEVIATIONS])
+@pytest.mark.parametrize("target, stub, invariant", [
+    *(pytest.param(*case, id=case[2]) for case in NAN_DEVIATIONS),
+    pytest.param("_reduced_entries", _nan_last_entry, "reduced_vs_oracle",
+                 id="reduced_vs_oracle_reduced_density"),
+])
 def test_check_nan_deviation_fails_its_invariant(capsys, monkeypatch, target,
                                                  stub, invariant):
     monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)

@@ -11,13 +11,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
 
 HOT = {
     "quaternion": ("_wrapped_distance", "_hamilton"),
-    "hopf": ("_base_angles", "h1"),
-    "state": ("quasi_density",),
+    "hopf": ("_base_angles", "h1", "inverse_stereographic"),
+    "state": ("quasi_density", "_product_sum", "_reduced_entries",
+              "_projection_entries"),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
-    "cli": ("_deviations", "_num", "_sample_numbers", "_sample_json",
-            "_traj_json", "_traj_csv", "_traj_svg"),
+    "cli": ("_deviations", "_distance", "_num", "_sample_numbers",
+            "_sample_json", "_traj_json", "_traj_csv", "_traj_svg"),
 }
 BUILTINS = {"min", "max"}
 ENUMS = {"CoordFlag", "GateKind", "Stage"}

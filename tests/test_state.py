@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from hopfbloch import (
     reduced_density,
 )
 from hopfbloch.quaternion import J, ONE, angle_distance
+from hopfbloch.state import _projection_entries, _reduced_entries
 
 from helpers import (
     SQ2,
@@ -388,6 +390,89 @@ def test_partial_trace_projection_matches_reduced_density():
         assert np.max(np.abs(got - want)) <= 1e-9
         ball = p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2
         assert abs(ball - 1.0) <= 1e-9
+
+
+def _numpy_reduced_density(s: TwoQubitState, keep: Basis) -> np.ndarray:
+    """The reduced density formula built as one numpy array."""
+    a, b, c, d = s.amplitudes()
+    if keep is Basis.B:
+        b, c = c, b
+    off = a * c.conjugate() + b * d.conjugate()
+    return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
+                     [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
+                    dtype=complex)
+
+
+def _numpy_projection(p: S4Point) -> np.ndarray:
+    """The S^4 projection formula as one numpy array, scaled by numpy."""
+    p.validate()
+    off = complex(p.x1, -p.x4)
+    return 0.5 * np.array([[1.0 + p.x0, off],
+                           [off.conjugate(), 1.0 - p.x0]], dtype=complex)
+
+
+def _signed_zero_states(rng, count):
+    """Basis states and equal-weight pairs whose zero parts carry random
+    signs."""
+    for _ in range(count):
+        amps = [complex(*rng.choice([0.0, -0.0], size=2)) for _ in range(4)]
+        k, m = rng.choice(4, size=2, replace=False)
+        amps[k] = (1.0, -1.0, 1j, -1j)[rng.integers(4)]
+        yield TwoQubitState(*amps)
+        amps[k] = amps[m] = complex(SQ2, amps[m].imag)
+        yield TwoQubitState(*amps)
+
+
+def _base_points(states):
+    """The S^4 base point of each state off the south pole."""
+    for s in states:
+        try:
+            yield extract(s).s4_point
+        except SouthPoleA:
+            pass
+
+
+def _signed_zero_points():
+    """Each of the ten poles of S^4, with every sign of its four zeros."""
+    for axis in range(5):
+        for pole in (1.0, -1.0):
+            for signs in itertools.product((0.0, -0.0), repeat=4):
+                coords = list(signs)
+                coords.insert(axis, pole)
+                yield S4Point(*coords)
+
+
+def _has_negative_zero(m: np.ndarray) -> bool:
+    parts = m.view(float)
+    return bool(np.any((parts == 0.0) & np.signbit(parts)))
+
+
+def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
+    # tobytes compares signed zeros too
+    rng = np.random.default_rng(31)
+    states = (random_states(rng, 200) + random_product_states(rng, 50)
+              + [bell_state(code) for code in ("00", "01", "10", "11")]
+              + [TwoQubitState(*np.eye(4)[k]) for k in range(4)]
+              + list(_signed_zero_states(rng, 200)))
+    negative_zeros = {"reduced": 0, "projection": 0}
+    for s in states:
+        a, b, c, d = s.amplitudes()
+        for keep, entries in ((Basis.A, _reduced_entries(a, b, c, d)),
+                              (Basis.B, _reduced_entries(a, c, b, d))):
+            got = reduced_density(s, keep)
+            assert got.tobytes() == _numpy_reduced_density(s, keep).tobytes()
+            assert (np.array(entries, dtype=complex).reshape(2, 2).tobytes()
+                    == got.tobytes()), (s, keep)
+            negative_zeros["reduced"] += _has_negative_zero(got)
+    for p in [*_base_points(states), *_signed_zero_points()]:
+        got = partial_trace_projection(p)
+        assert got.tobytes() == _numpy_projection(p).tobytes(), p
+        assert (np.array(_projection_entries(p), dtype=complex).reshape(2, 2)
+                .tobytes() == got.tobytes()), p
+        negative_zeros["projection"] += _has_negative_zero(got)
+    # enough outputs carry a -0.0 for the signs to be compared
+    assert negative_zeros["reduced"] >= 400
+    assert negative_zeros["projection"] >= 40
 
 
 def test_non_finite_amplitudes_rejected():

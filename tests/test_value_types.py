@@ -17,6 +17,8 @@ from hopfbloch import (
     BlochCoordinates,
     CoordFlag,
     NotNormalized,
+    QuasiDensity,
+    QuasiState,
     Quaternion,
     S4Point,
     TwoQubitState,
@@ -31,6 +33,9 @@ COORDS = BlochCoordinates(0.5, 1.0, 1.5, 2.0, 0.25, 3.0, 0.125,
 SAMPLE = TrajectorySample(Stage.ROTATION_RAMP, 0.5, STATE, COORDS)
 QUAT = Quaternion(0.5, -1.0, 2.0, 0.25)
 POINT = S4Point(0.5, -0.5, 0.25, 0.125, -0.75)
+QUASI = QuasiState(QUAT, Quaternion(0.0, 0.5))
+DENSITY = QuasiDensity(Quaternion(0.25), QUAT, Quaternion(-0.0, z=1.5),
+                       Quaternion(0.75))
 
 STATE_REPR = "TwoQubitState(alpha=0.6, beta=0.8j, gamma=0, delta=0)"
 COORDS_REPR = ("BlochCoordinates(theta_a=0.5, phi_a=1.0, chi=1.5, xi=2.0, "
@@ -41,10 +46,17 @@ SAMPLE_REPR = (f"TrajectorySample(stage=<Stage.ROTATION_RAMP: 'rotation'>, "
                f"branch_flip=False)")
 QUAT_REPR = "Quaternion(w=0.5, x=-1.0, y=2.0, z=0.25)"
 POINT_REPR = "S4Point(x0=0.5, x1=-0.5, x2=0.25, x3=0.125, x4=-0.75)"
+QUASI_REPR = (f"QuasiState(q0={QUAT_REPR}, "
+              "q1=Quaternion(w=0.0, x=0.5, y=0.0, z=0.0))")
+DENSITY_REPR = ("QuasiDensity(e00=Quaternion(w=0.25, x=0.0, y=0.0, z=0.0), "
+                f"e01={QUAT_REPR}, "
+                "e10=Quaternion(w=-0.0, x=0.0, y=0.0, z=1.5), "
+                "e11=Quaternion(w=0.75, x=0.0, y=0.0, z=0.0))")
 
 VALUES = {"state": (STATE, STATE_REPR), "coords": (COORDS, COORDS_REPR),
           "sample": (SAMPLE, SAMPLE_REPR), "quaternion": (QUAT, QUAT_REPR),
-          "s4_point": (POINT, POINT_REPR)}
+          "s4_point": (POINT, POINT_REPR), "quasi_state": (QUASI, QUASI_REPR),
+          "quasi_density": (DENSITY, DENSITY_REPR)}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -112,7 +124,8 @@ def _hand_initialised():
 
 def test_hand_written_inits_follow_their_fields():
     examples = {TwoQubitState: STATE, BlochCoordinates: COORDS,
-                TrajectorySample: SAMPLE, Quaternion: QUAT, S4Point: POINT}
+                TrajectorySample: SAMPLE, Quaternion: QUAT, S4Point: POINT,
+                QuasiState: QUASI, QuasiDensity: DENSITY}
     # a new init=False dataclass needs an example here
     assert _hand_initialised() == set(examples)
     for cls, example in examples.items():
