@@ -18,7 +18,6 @@ from .errors import (
     FiberAtInfinity,
     HopfBlochError,
     NotNormalized,
-    NotPureUnit,
     OffSphere,
     OutOfRange,
     SouthPoleA,

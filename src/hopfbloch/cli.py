@@ -346,9 +346,7 @@ def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
     a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
     c, _ = concurrence(s)
     conc = abs(c - coords.concurrence)
-    if _XI_UNDEFINED in coords.flags:
-        conc = _nan_max((conc,))
-    else:
+    if _XI_UNDEFINED not in coords.flags:
         claim = c * cmath.exp(1j * (coords.xi - 0.5 * math.pi))
         det2 = 2.0 * (a * d - b * g)
         conc = _nan_max((conc, abs(claim - det2)))

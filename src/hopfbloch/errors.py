@@ -5,10 +5,6 @@ class HopfBlochError(Exception):
     """Base class for all domain errors in this package."""
 
 
-class NotPureUnit(HopfBlochError):
-    """A quaternion expected to be pure (zero real part) and unit-norm is not."""
-
-
 class NotNormalized(HopfBlochError):
     """A state vector or quaternion pair is too far from unit norm to repair."""
 

@@ -97,8 +97,6 @@ class S4Point:
 
 _set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = _slot_setters(S4Point)
 
-NORTH_POLE = S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True, slots=True)
 class BaseAngles:

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import NotPureUnit
-from .tolerances import EPS_UNIT, EPS_ZERO
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -118,11 +115,6 @@ class Quaternion:
 
 _set_w, _set_x, _set_y, _set_z = _slot_setters(Quaternion)
 
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-I = Quaternion(0.0, 1.0, 0.0, 0.0)
-J = Quaternion(0.0, 0.0, 1.0, 0.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
 
 def to_complex_pair(q: Quaternion) -> tuple[complex, complex]:
     """Split q = u + v*j into complex u, v, with k as the complex unit.
@@ -154,33 +146,6 @@ class PureUnitQuaternion:
     @classmethod
     def from_angles(cls, chi: float, xi: float) -> "PureUnitQuaternion":
         return cls(*_sphere_point(chi, xi))
-
-    @classmethod
-    def from_components(cls, tx: float, ty: float,
-                        tz: float) -> "PureUnitQuaternion":
-        n = math.sqrt(tx * tx + ty * ty + tz * tz)
-        if not (abs(n - 1.0) <= EPS_UNIT):
-            raise NotPureUnit(f"components have norm {n:.12g}, expected 1")
-        return cls(tx / n, ty / n, tz / n)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "PureUnitQuaternion":
-        if abs(q.w) > EPS_UNIT:
-            raise NotPureUnit(f"real part {q.w:.3e} is not zero")
-        return cls.from_components(q.x, q.y, q.z)
-
-    @property
-    def chi(self) -> float:
-        return math.atan2(math.hypot(self.tx, self.ty), self.tz)
-
-    @property
-    def xi(self) -> float:
-        if math.hypot(self.tx, self.ty) <= EPS_ZERO:
-            return 0.0
-        return wrap_angle(math.atan2(self.ty, self.tx))
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.tx, self.ty, self.tz)
 
 
 def exp_pure(t: PureUnitQuaternion, phi: float) -> Quaternion:

@@ -1,5 +1,6 @@
-"""Shared test utilities: random generators, independent dense oracles and
-the paper's alternative routes."""
+"""Shared test utilities: random generators, independent dense oracles, the
+paper's alternative routes, and the quaternion constants and constructors
+that only the tests use."""
 
 import cmath
 import math
@@ -26,12 +27,11 @@ from hopfbloch import (
     extract,
     h1,
     inverse_stereographic,
-    partial_trace_projection,
     phase_aligned_distance,
     quasi_density,
     quasi_state,
     reconstruct,
-    reduced_density,
+    wrap_angle,
 )
 from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
 from hopfbloch.cli import (
@@ -299,6 +299,28 @@ def reference_h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     return reference_mul(reference_mul(q1, q0.conjugate()), 1.0 / n2)
 
 
+def numpy_reduced_density(s: TwoQubitState, keep: Basis) -> np.ndarray:
+    """The reduced density formula built as one numpy array.  It shares no
+    code with ``state._reduced_entries``, which ``reduced_density`` and
+    ``check`` read, so it can stand as their oracle."""
+    a, b, c, d = s.amplitudes()
+    if keep is Basis.B:
+        b, c = c, b
+    off = a * c.conjugate() + b * d.conjugate()
+    return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
+                     [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
+                    dtype=complex)
+
+
+def numpy_projection(p: S4Point) -> np.ndarray:
+    """The S^4 projection formula as one numpy array, scaled by numpy; the
+    oracle of ``state._projection_entries``."""
+    p.validate()
+    off = complex(p.x1, -p.x4)
+    return 0.5 * np.array([[1.0 + p.x0, off],
+                           [off.conjugate(), 1.0 - p.x0]], dtype=complex)
+
+
 def _nan_max(values) -> float:
     """max that returns NaN when any value is NaN (the builtin can drop it)."""
     values = tuple(values)
@@ -331,9 +353,9 @@ def _reference_deviations(s: TwoQubitState, raw_fiber) -> tuple[float, ...]:
     dense_a = np.trace(dense, axis1=1, axis2=3)
     dense_b = np.trace(dense, axis1=0, axis2=2)
     reduced = _nan_max(float(np.max(np.abs(got - oracle))) for got, oracle in (
-        (reduced_density(s, Basis.A), dense_a),
-        (reduced_density(s, Basis.B), dense_b),
-        (partial_trace_projection(p), dense_a)))
+        (numpy_reduced_density(s, Basis.A), dense_a),
+        (numpy_reduced_density(s, Basis.B), dense_b),
+        (numpy_projection(p), dense_a)))
 
     ball = abs(p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2 - 1.0)
 
@@ -383,6 +405,50 @@ class NotUnit(HopfBlochError):
 
 class NorthPole(HopfBlochError):
     """Stereographic projection requested at its excluded point x0 = 1."""
+
+
+class NotPureUnit(HopfBlochError):
+    """A quaternion expected to be pure (zero real part) and unit-norm is not."""
+
+
+# the quaternion units, the north pole of S^4, and PureUnitQuaternion's
+# other constructors and angles: the package itself never needs them
+ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
+I = Quaternion(0.0, 1.0, 0.0, 0.0)
+J = Quaternion(0.0, 0.0, 1.0, 0.0)
+K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+NORTH_POLE = S4Point(1.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def pure_unit_from_components(tx: float, ty: float,
+                              tz: float) -> PureUnitQuaternion:
+    n = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if not (abs(n - 1.0) <= EPS_UNIT):
+        raise NotPureUnit(f"components have norm {n:.12g}, expected 1")
+    return PureUnitQuaternion(tx / n, ty / n, tz / n)
+
+
+def pure_unit_from_quaternion(q: Quaternion) -> PureUnitQuaternion:
+    if abs(q.w) > EPS_UNIT:
+        raise NotPureUnit(f"real part {q.w:.3e} is not zero")
+    return pure_unit_from_components(q.x, q.y, q.z)
+
+
+def pure_unit_chi(t: PureUnitQuaternion) -> float:
+    """The polar angle of t, from the k axis."""
+    return math.atan2(math.hypot(t.tx, t.ty), t.tz)
+
+
+def pure_unit_xi(t: PureUnitQuaternion) -> float:
+    """The azimuth of t, from the i axis toward j; 0 at the poles."""
+    if math.hypot(t.tx, t.ty) <= EPS_ZERO:
+        return 0.0
+    return wrap_angle(math.atan2(t.ty, t.tx))
+
+
+def pure_unit_as_quaternion(t: PureUnitQuaternion) -> Quaternion:
+    return Quaternion(0.0, t.tx, t.ty, t.tz)
 
 
 def stereographic(p: S4Point) -> Quaternion:
@@ -447,8 +513,8 @@ def conjugate_rotate(q: Quaternion, t: PureUnitQuaternion) -> PureUnitQuaternion
     if not (abs(q.norm() - 1.0) <= EPS_UNIT):
         raise NotUnit(f"rotor norm {q.norm():.12g} is not 1")
     # conj(q) t q has norm |q|^2, which may sit up to 2*EPS_UNIT off 1
-    r = q.conjugate() * t.as_quaternion() * q
-    return PureUnitQuaternion.from_quaternion(r * (1.0 / q.norm_squared()))
+    r = q.conjugate() * pure_unit_as_quaternion(t) * q
+    return pure_unit_from_quaternion(r * (1.0 / q.norm_squared()))
 
 
 def phase_family_state(a: float, b: float, c: float, d: float,

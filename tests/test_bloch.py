@@ -38,6 +38,7 @@ from helpers import (
     assert_extract_matches_reference,
     assert_reconstruct_matches_reference,
     fiber_quaternion,
+    pure_unit_as_quaternion,
     quaternion_close,
     random_product_states,
     random_states,
@@ -341,7 +342,7 @@ def test_pauli_form_of_quasi_density():
     for s in random_states(rng, 300):
         c = extract(s)
         rho = quasi_density(quasi_state(s))
-        tq = c.t.as_quaternion()
+        tq = pure_unit_as_quaternion(c.t)
         n1, nb, n0 = c.s4_point.x1, c.b, c.s4_point.x0
         want00 = Quaternion(0.5 * (1 + n0), 0, 0, 0)
         want11 = Quaternion(0.5 * (1 - n0), 0, 0, 0)

@@ -17,10 +17,16 @@ from hopfbloch import (
     h1,
     inverse_stereographic,
 )
-from hopfbloch.hopf import NORTH_POLE
-from hopfbloch.quaternion import J, angle_distance
+from hopfbloch.quaternion import angle_distance
 
-from helpers import SQ2, NorthPole, random_quaternion, stereographic
+from helpers import (
+    NORTH_POLE,
+    SQ2,
+    J,
+    NorthPole,
+    random_quaternion,
+    stereographic,
+)
 
 
 def s4_close(p: S4Point, q: S4Point, tol=1e-9) -> bool:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hopfbloch import (
-    NotPureUnit,
     PureUnitQuaternion,
     Quaternion,
     angle_distance,
@@ -13,20 +12,22 @@ from hopfbloch import (
     to_complex_pair,
     wrap_angle,
 )
-from hopfbloch.quaternion import (
-    TWO_PI,
+from hopfbloch.quaternion import TWO_PI, _hamilton, _wrapped_distance
+
+from helpers import (
+    ONE,
+    SPECIAL_FLOATS,
     I,
     J,
     K,
-    ONE,
-    _hamilton,
-    _wrapped_distance,
-)
-
-from helpers import (
-    SPECIAL_FLOATS,
+    NotPureUnit,
     NotUnit,
     conjugate_rotate,
+    pure_unit_as_quaternion,
+    pure_unit_chi,
+    pure_unit_from_components,
+    pure_unit_from_quaternion,
+    pure_unit_xi,
     quaternion_close,
     random_quaternion,
     reference_mul,
@@ -113,7 +114,7 @@ def test_exp_pure_examples():
     assert quaternion_close(exp_pure(t_k, math.pi / 2), K, tol=1e-15)
     t_i = PureUnitQuaternion(1, 0, 0)
     assert quaternion_close(exp_pure(t_i, math.pi), -ONE, tol=1e-15)
-    t_ij = PureUnitQuaternion.from_components(math.sqrt(0.5), math.sqrt(0.5), 0)
+    t_ij = pure_unit_from_components(math.sqrt(0.5), math.sqrt(0.5), 0)
     got = exp_pure(t_ij, math.pi / 3)
     s = math.sin(math.pi / 3) * math.sqrt(0.5)
     assert quaternion_close(got, Quaternion(0.5, s, s, 0), tol=1e-15)
@@ -134,11 +135,11 @@ def test_exp_pure_same_axis_adds_angles():
 
 def test_pure_unit_validation():
     with pytest.raises(NotPureUnit):
-        PureUnitQuaternion.from_components(1.0, 1.0, 0.0)
+        pure_unit_from_components(1.0, 1.0, 0.0)
     with pytest.raises(NotPureUnit):
-        PureUnitQuaternion.from_quaternion(Quaternion(0.5, 1, 0, 0))
+        pure_unit_from_quaternion(Quaternion(0.5, 1, 0, 0))
     t = PureUnitQuaternion.from_angles(1.1, 2.2)
-    q = t.as_quaternion()
+    q = pure_unit_as_quaternion(t)
     assert quaternion_close(q * q, -ONE, tol=1e-15)
 
 
@@ -147,11 +148,11 @@ def test_pure_unit_angle_roundtrip():
     for _ in range(500):
         chi, xi = rng.uniform(1e-3, math.pi - 1e-3), rng.uniform(0, 2 * math.pi)
         t = PureUnitQuaternion.from_angles(chi, xi)
-        assert abs(t.chi - chi) <= 1e-12
-        assert angle_distance(t.xi, xi) <= 1e-12
+        assert abs(pure_unit_chi(t) - chi) <= 1e-12
+        assert angle_distance(pure_unit_xi(t), xi) <= 1e-12
     # at the poles xi degenerates to the 0 convention
-    assert PureUnitQuaternion(0, 0, 1).xi == 0.0
-    assert PureUnitQuaternion(0, 0, 1).chi == 0.0
+    assert pure_unit_xi(PureUnitQuaternion(0, 0, 1)) == 0.0
+    assert pure_unit_chi(PureUnitQuaternion(0, 0, 1)) == 0.0
 
 
 def test_conjugate_rotate_examples():

@@ -1,10 +1,12 @@
-"""Every private helper in src/ must have a caller in src/, and every name
-the package re-exports must have a user, so none is kept alive only by the
-tests."""
+"""Every private helper in src/ must have a caller in src/, every name the
+package re-exports must have a user, and every public name without a caller
+in src/ has a stated reason, so none is kept alive only by the tests."""
 
 import ast
 import re
 from pathlib import Path
+
+from test_benchmark_targets import TRACER_TARGETS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hopfbloch"
@@ -85,9 +87,65 @@ def _unused_reexports():
     return [name for name in _reexports() if name not in used]
 
 
+def _uncalled_public_names():
+    """'module.name' of each public module-level function, class or assigned
+    constant that no module of src/ but __init__ reads outside its own
+    definition."""
+    modules = [m for m in _modules() if m[0] != "__init__"]
+    used = _used_outside_definitions(modules)
+    return {f"{module}.{name}" for module, body in modules for node in body
+            for name in _defined(node)
+            if not name.startswith("_") and name not in used}
+
+
+def _library_section_names():
+    """The identifiers that README.md's Library section names in backticks."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return {name for span in re.findall(r"`+([^`]+)`+", section)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+README = "README Library API"
+TRACER = "benchmark tracer target"
+DISPATCH = "cmd_* dispatched by name in cli._run"
+
+# each public name that no src/ code calls, and why it stays public; a name
+# that loses its reason moves into tests/helpers.py
+UNCALLED_PUBLIC = {
+    "bloch.coords_distance": README,
+    "cli.cmd_amplitudes": DISPATCH,
+    "cli.cmd_check": DISPATCH,
+    "cli.cmd_coords": DISPATCH,
+    "cli.cmd_traj": DISPATCH,
+    "gates.gate_matrix": TRACER,
+    "gates.trajectory": README,
+    "hopf.angles_from_base": TRACER,
+    "quaternion.exp_pure": TRACER,
+    "quaternion.to_complex_pair": TRACER,
+    "state.partial_trace_projection": README,
+    "state.reduced_density": TRACER,
+}
+
+
 def test_every_private_helper_has_a_caller_in_src():
     assert _unreferenced_privates() == []
 
 
 def test_every_reexported_name_has_a_user():
     assert _unused_reexports() == []
+
+
+def test_every_uncalled_public_name_has_a_stated_reason():
+    assert _uncalled_public_names() == set(UNCALLED_PUBLIC)
+    traced = {(module, attr) for _, module, attr in TRACER_TARGETS}
+    library = _library_section_names()
+    for qualified, reason in UNCALLED_PUBLIC.items():
+        module, name = qualified.split(".")
+        if reason == TRACER:
+            assert (f"hopfbloch.{module}", name) in traced, qualified
+        elif reason == README:
+            assert name in library, qualified
+        else:
+            assert reason == DISPATCH and module == "cli", qualified
+            assert name.startswith("cmd_"), qualified

@@ -29,13 +29,17 @@ from hopfbloch import (
     reconstruct,
     reduced_density,
 )
-from hopfbloch.quaternion import J, ONE, angle_distance
+from hopfbloch.quaternion import angle_distance
 from hopfbloch.state import _projection_entries, _reduced_entries
 
 from helpers import (
+    ONE,
     SQ2,
+    J,
     dense_reduced,
     embed_complex,
+    numpy_projection,
+    numpy_reduced_density,
     phase_family_state,
     quaternion_close,
     random_product_states,
@@ -392,25 +396,6 @@ def test_partial_trace_projection_matches_reduced_density():
         assert abs(ball - 1.0) <= 1e-9
 
 
-def _numpy_reduced_density(s: TwoQubitState, keep: Basis) -> np.ndarray:
-    """The reduced density formula built as one numpy array."""
-    a, b, c, d = s.amplitudes()
-    if keep is Basis.B:
-        b, c = c, b
-    off = a * c.conjugate() + b * d.conjugate()
-    return np.array([[abs(a) ** 2 + abs(b) ** 2, off],
-                     [off.conjugate(), abs(c) ** 2 + abs(d) ** 2]],
-                    dtype=complex)
-
-
-def _numpy_projection(p: S4Point) -> np.ndarray:
-    """The S^4 projection formula as one numpy array, scaled by numpy."""
-    p.validate()
-    off = complex(p.x1, -p.x4)
-    return 0.5 * np.array([[1.0 + p.x0, off],
-                           [off.conjugate(), 1.0 - p.x0]], dtype=complex)
-
-
 def _signed_zero_states(rng, count):
     """Basis states and equal-weight pairs whose zero parts carry random
     signs."""
@@ -460,13 +445,13 @@ def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
         for keep, entries in ((Basis.A, _reduced_entries(a, b, c, d)),
                               (Basis.B, _reduced_entries(a, c, b, d))):
             got = reduced_density(s, keep)
-            assert got.tobytes() == _numpy_reduced_density(s, keep).tobytes()
+            assert got.tobytes() == numpy_reduced_density(s, keep).tobytes()
             assert (np.array(entries, dtype=complex).reshape(2, 2).tobytes()
                     == got.tobytes()), (s, keep)
             negative_zeros["reduced"] += _has_negative_zero(got)
     for p in [*_base_points(states), *_signed_zero_points()]:
         got = partial_trace_projection(p)
-        assert got.tobytes() == _numpy_projection(p).tobytes(), p
+        assert got.tobytes() == numpy_projection(p).tobytes(), p
         assert (np.array(_projection_entries(p), dtype=complex).reshape(2, 2)
                 .tobytes() == got.tobytes()), p
         negative_zeros["projection"] += _has_negative_zero(got)
