@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 from . import svg
 from .bloch import (
     BlochCoordinates,
+    _XI_UNDEFINED,
     alternate,
     canonicalize,
     extract,
@@ -37,7 +38,7 @@ from .errors import (
     UnknownGate,
 )
 from .gates import GateSpec, TrajectorySample, _samples
-from .hopf import CoordFlag, h1, inverse_stereographic
+from .hopf import h1, inverse_stereographic
 from .quaternion import Quaternion, _sphere_point, angle_distance
 from .state import (
     TwoQubitState,
@@ -67,19 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def _round12(v: float) -> float:
-    return float(f"{v:.12g}")
-
-
-def _pair(z: complex) -> list[float]:
-    return [_round12(z.real), _round12(z.imag)]
-
-
 _ANGLES = ("theta_a", "phi_a", "chi", "xi", "theta_b", "phi_b", "zeta_b")
-
-
-def _rounded(names: tuple[str, ...], values: tuple[float, ...]) -> dict:
-    return {name: _round12(v) for name, v in zip(names, values)}
 
 
 def _flag_names(c: BlochCoordinates) -> list[str]:
@@ -92,14 +81,14 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
     if label is not None:
         record["label"] = label
     record.update({
-        "angles": _rounded(_ANGLES, c.angles()),
-        "cartesian": _rounded(("x0", "x1", "x2", "x3", "x4"),
-                              (p.x0, p.x1, p.x2, p.x3, p.x4)),
-        "t": _rounded(("tx", "ty", "tz"), _sphere_point(c.chi, c.xi)),
-        "qubit_b": _rounded(("xb", "yb", "zb"), _sphere_point(c.theta_b, c.phi_b)),
-        "concurrence": _round12(c.concurrence),
+        "angles": dict(zip(_ANGLES, c.angles())),
+        "cartesian": dict(zip(("x0", "x1", "x2", "x3", "x4"),
+                              (p.x0, p.x1, p.x2, p.x3, p.x4))),
+        "t": dict(zip(("tx", "ty", "tz"), _sphere_point(c.chi, c.xi))),
+        "qubit_b": dict(zip(("xb", "yb", "zb"), _sphere_point(c.theta_b, c.phi_b))),
+        "concurrence": c.concurrence,
         "flags": _flag_names(c),
-        "alternate": _rounded(_ANGLES, alternate(c).angles()),
+        "alternate": dict(zip(_ANGLES, alternate(c).angles())),
     })
     return record
 
@@ -108,15 +97,28 @@ def _coords_record(c: BlochCoordinates, label: str | None) -> dict:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _num(v: float) -> str:
+    """json.dumps(float(f"{v:.12g}")): v at 12 significant digits, ints
+    included.  The 12-digit text is written as it is where it already is
+    the shortest repr of the float it reads as: it has a '.' or an 'e-',
+    and v is neither subnormal nor 1e11 or more (so the text has no
+    'e+')."""
+    text = f"{v:.12g}"
+    if 1e-300 <= abs(v) < 1e11 and ("." in text or "e-" in text):
+        return text
+    text = float.__repr__(float(text))
+    return _NON_FINITE.get(text, text)
+
+
 def _json(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts with str
+    """json.dumps(obj, indent=2), byte for byte, with every float first
+    rounded to 12 significant digits (_num), for a tree of dicts with str
     keys, lists, strs, floats, ints, bools and None; anything else raises
     TypeError.  newline starts each line of obj at its indent.  On CPython
     3.10 to 3.12 any indent sends json.dumps to its slower pure-Python
     encoder."""
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
+        return _num(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -168,7 +170,7 @@ def _south_pole_payload(exc: SouthPoleA) -> dict:
     return {
         "error": "south_pole_a",
         "message": str(exc),
-        "psi_b": [_pair(z) for z in exc.psi_b],
+        "psi_b": [[z.real, z.imag] for z in exc.psi_b],
     }
 
 
@@ -183,7 +185,7 @@ def cmd_coords(args) -> tuple[int, str]:
 def cmd_amplitudes(args) -> tuple[int, str]:
     coords = BlochCoordinates(*_floats(args.angles, 7, "--angles"))
     state = reconstruct(coords)
-    record = {"amplitudes": [_pair(z) for z in state.amplitudes()]}
+    record = {"amplitudes": [[z.real, z.imag] for z in state.amplitudes()]}
     if args.roundtrip:
         try:
             again = extract(state)
@@ -191,8 +193,8 @@ def cmd_amplitudes(args) -> tuple[int, str]:
                             zip(again.angles(), canonicalize(coords).angles()))
             amp_dev = phase_aligned_distance(state, reconstruct(again))
             record["roundtrip"] = {
-                "angle_max_deviation": _round12(angle_dev),
-                "amplitude_max_deviation": _round12(amp_dev),
+                "angle_max_deviation": angle_dev,
+                "amplitude_max_deviation": amp_dev,
                 "flags": _flag_names(again),
             }
         except SouthPoleA as exc:
@@ -220,17 +222,6 @@ _CSV_HEADER = ("stage,s,alpha_re,alpha_im,beta_re,beta_im,gamma_re,gamma_im,"
                "delta_re,delta_im," + ",".join(_ANGLES) + ",concurrence,branch_flip")
 # one CSV row: the stage, _sample_numbers at 12 digits, the branch flip
 _CSV_ROW = "\n%s," + ",".join(["%.12g"] * 17) + ",%d"
-
-
-def _num(v: float) -> str:
-    """_json(_round12(v)), without the round trip through float where the
-    12-digit text already is the shortest repr of the float it reads as: it
-    has a '.' or an 'e-', and v is neither subnormal nor 1e11 or more (so
-    the text has no 'e+')."""
-    text = f"{v:.12g}"
-    if 1e-300 <= abs(v) < 1e11 and ("." in text or "e-" in text):
-        return text
-    return _json(float(text))
 
 
 # one JSON sample record after its separator, at its indent in the samples
@@ -269,9 +260,9 @@ def _traj_csv(samples: Iterator[TrajectorySample]) -> Iterator[str]:
 def _traj_json(g: GateSpec, samples: Iterator[TrajectorySample]) -> Iterator[str]:
     gate = {
         "kind": g.kind.value,
-        "axis": [_round12(a) for a in g.axis],
-        "eta": _round12(g.eta),
-        "omega": _round12(g.omega),
+        "axis": list(g.axis),
+        "eta": g.eta,
+        "omega": g.omega,
     }
     yield '{\n  "gate": ' + _json(gate, "\n  ") + ',\n  "samples": ['
     sep = "\n    "
@@ -316,13 +307,8 @@ _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
                "reduced_vs_oracle", "ball_identity", "fiber_invariance")
 
 
-# bound once: on Python 3.11 each Enum member lookup runs EnumType.__getattr__
-_XI_UNDEFINED = CoordFlag.XI_UNDEFINED
-
-
-def _nan_max(values) -> float:
+def _nan_max(values: tuple[float, ...]) -> float:
     """max that returns NaN when any value is NaN (the builtin can drop it)."""
-    values = tuple(values)
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 

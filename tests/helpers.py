@@ -34,14 +34,7 @@ from hopfbloch import (
     wrap_angle,
 )
 from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
-from hopfbloch.cli import (
-    _ANGLES,
-    _CSV_HEADER,
-    _flag_names,
-    _pair,
-    _round12,
-    _rounded,
-)
+from hopfbloch.cli import _ANGLES, _CSV_HEADER, _flag_names
 from hopfbloch.gates import Trajectory
 from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
 from hopfbloch.tolerances import EPS_UNIT, EPS_ZERO
@@ -553,21 +546,28 @@ def reference_traj_csv(traj: Trajectory) -> str:
 
 
 def reference_traj_json(traj: Trajectory) -> dict:
+    """The traj JSON record, each number a float at 12 significant digits,
+    for json.dumps(record, indent=2)."""
+    def r(v):
+        return float(f"{v:.12g}")
+
     g = traj.gate
     return {
         "gate": {
             "kind": g.kind.value,
-            "axis": [_round12(a) for a in g.axis],
-            "eta": _round12(g.eta),
-            "omega": _round12(g.omega),
+            "axis": [r(a) for a in g.axis],
+            "eta": r(g.eta),
+            "omega": r(g.omega),
         },
         "samples": [
             {
                 "stage": smp.stage.value,
-                "s": _round12(smp.s),
-                "amplitudes": [_pair(z) for z in smp.state.amplitudes()],
-                "angles": _rounded(_ANGLES, smp.coords.angles()),
-                "concurrence": _round12(smp.coords.concurrence),
+                "s": r(smp.s),
+                "amplitudes": [[r(z.real), r(z.imag)]
+                               for z in smp.state.amplitudes()],
+                "angles": {name: r(a) for name, a in
+                           zip(_ANGLES, smp.coords.angles())},
+                "concurrence": r(smp.coords.concurrence),
                 "flags": _flag_names(smp.coords),
                 "branch_flip": smp.branch_flip,
             }

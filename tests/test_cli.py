@@ -602,10 +602,21 @@ JSON_TREES = st.recursive(
     max_leaves=20)
 
 
+def _round_floats(obj):
+    """obj with each float of the tree at 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, list):
+        return [_round_floats(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _round_floats(item) for key, item in obj.items()}
+    return obj
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(obj=JSON_TREES)
 def test_json_writer_matches_json_dumps_indent_2(obj):
-    assert cli._json(obj) == json.dumps(obj, indent=2)
+    assert cli._json(obj) == json.dumps(_round_floats(obj), indent=2)
 
 
 @pytest.mark.parametrize("obj", [(1.0, 2.0), {1.0}, {"a": [0, (1,)]},
@@ -629,12 +640,12 @@ NUM_EXAMPLES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300,
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
 @given(v=st.floats())
 def test_num_writes_what_json_writes_for_the_rounded_float(v):
-    assert cli._num(v) == cli._json(cli._round12(v))
+    assert cli._num(v) == json.dumps(float(f"{v:.12g}"))
 
 
 @pytest.mark.parametrize("v", NUM_EXAMPLES)
 def test_num_on_its_specials(v):
-    assert cli._num(v) == cli._json(cli._round12(v))
+    assert cli._num(v) == json.dumps(float(f"{v:.12g}"))
 
 
 def _writer_pool():
@@ -670,7 +681,8 @@ def test_streamed_traj_writers_match_the_whole_text_writers():
             for n1, n2 in ((2, 2), (2, 32), (3, 3), (32, 3), (32, 32)):
                 traj = trajectory(g, s, n1, n2)
                 streamed = "".join(cli._traj_json(g, iter(traj.samples)))
-                assert streamed == cli._json(reference_traj_json(traj))
+                assert streamed == json.dumps(reference_traj_json(traj),
+                                              indent=2)
                 streamed = "".join(cli._traj_csv(iter(traj.samples)))
                 assert streamed == reference_traj_csv(traj)
                 flips += sum(smp.branch_flip for smp in traj.samples)
@@ -908,20 +920,34 @@ def _main_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _no_json_int(text):
+    pytest.fail(f"the CLI wrote the JSON int {text}")
+
+
+def _twelve_digit_float(text):
+    x = float(text)
+    assert float(f"{x:.12g}") == x, text
+    return x
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(argv=cli_argvs())
 def test_every_argv_gets_a_documented_exit_code(argv):
     code, out, err = _main_in_process(argv)
     assert code in (0, 2, 3, 4)
     assert err == ""
+    # every number of every JSON output, records and errors, is a float at
+    # 12 significant digits
+    record = (json.loads(out, parse_int=_no_json_int,
+                         parse_float=_twelve_digit_float)
+              if out.startswith("{") else None)
     if code == 0:
         return
-    if argv[0] == "check" and code == 3 and not out.startswith("{"):
+    if argv[0] == "check" and code == 3 and record is None:
         lines = out.splitlines()
         assert len(lines) == 7 and lines[-1].startswith("checked ")
         assert any(line.startswith("FAIL") for line in lines)
         return
-    record = json.loads(out)
     assert isinstance(record, dict)
     assert ERROR_KIND_CODES[record["error"]] == code
 
