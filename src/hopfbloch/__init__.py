@@ -34,7 +34,6 @@ from .gates import (
     trajectory,
 )
 from .hopf import (
-    BaseAngles,
     CoordFlag,
     S4Point,
     angles_from_base,

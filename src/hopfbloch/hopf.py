@@ -98,17 +98,6 @@ class S4Point:
 _set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = _slot_setters(S4Point)
 
 
-@dataclass(frozen=True, slots=True)
-class BaseAngles:
-    """Angle parameterization of an S^4 point, with degeneracy flags."""
-
-    theta: float
-    phi: float
-    chi: float
-    xi: float
-    flags: frozenset[CoordFlag]
-
-
 def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     """Map a unit quaternion pair to Q = q1 * conj(q0) / |q1|^2 in R^4.
 
@@ -158,16 +147,17 @@ def base_from_angles(theta: float, phi: float, chi: float, xi: float) -> S4Point
     )
 
 
-def angles_from_base(p: S4Point) -> BaseAngles:
-    """Invert ``base_from_angles`` on the b >= 0 branch.
+def angles_from_base(p: S4Point) -> tuple:
+    """(theta, phi, chi, xi, flags): ``base_from_angles`` inverted, b >= 0.
 
-    Degenerate directions fall back to fixed conventions and are flagged:
+    Degenerate directions fall back to fixed conventions, flagged in the
+    frozenset of CoordFlag:
     phi := 0 at the poles sin(theta) ~ 0; (chi, xi) := (0, 0) i.e. t = k when
     b ~ 0; xi := 0 when c ~ 0 with b != 0 (t at a pole of its own sphere).
     Raises OffSphere for points off the unit 4-sphere.
     """
     theta, phi, chi, xi, flags = _base_angles(p.x0, p.x1, p.x2, p.x3, p.x4)
-    return BaseAngles(theta, phi, chi, xi, frozenset(flags))
+    return theta, phi, chi, xi, frozenset(flags)
 
 
 def _base_angles(x0: float, x1: float, x2: float, x3: float,

@@ -24,10 +24,6 @@ _PANELS = (
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _project(v, cx: float, cy: float) -> tuple[float, float]:
     x, y, z = v
     u = -x * _SIN_AZ + y * _COS_AZ
@@ -37,8 +33,7 @@ def _project(v, cx: float, cy: float) -> tuple[float, float]:
 
 
 def _polyline(points, cx: float, cy: float, style: str) -> str:
-    coords = " ".join("%s,%s" % (_fmt(px), _fmt(py))
-                      for px, py in (_project(p, cx, cy) for p in points))
+    coords = " ".join("%.2f,%.2f" % _project(p, cx, cy) for p in points)
     return f'<polyline fill="none" {style} points="{coords}"/>'
 
 
@@ -50,7 +45,7 @@ def _wireframe(cx: float, cy: float) -> tuple[str, ...]:
     meridian_a = [(math.cos(a), 0.0, math.sin(a)) for a in ring]
     meridian_b = [(0.0, math.cos(a), math.sin(a)) for a in ring]
     grid = 'stroke="#c8c8c8" stroke-width="0.6"'
-    parts = [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_RADIUS)}" '
+    parts = [f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_RADIUS:.2f}" '
              'fill="none" stroke="#404040" stroke-width="1.2"/>']
     parts += [_polyline(pts, cx, cy, grid)
               for pts in (equator, meridian_a, meridian_b)]
@@ -59,7 +54,7 @@ def _wireframe(cx: float, cy: float) -> tuple[str, ...]:
 
 def _marker(v, cx: float, cy: float, color: str) -> str:
     px, py = _project(v, cx, cy)
-    return (f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.2" '
+    return (f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.2" '
             f'fill="{color}"/>')
 
 
@@ -87,7 +82,7 @@ def render_spheres(paths) -> str:
                                    'stroke="#c03028" stroke-width="1.6"'))
             parts.append(_marker(points[:3], cx, cy, "#2060c0"))
             parts.append(_marker(points[-3:], cx, cy, "#c03028"))
-        parts.append(f'<text x="{_fmt(cx)}" y="18" text-anchor="middle" '
+        parts.append(f'<text x="{cx:.2f}" y="18" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12">{label}</text>')
         parts.append("</g>")
     parts.append("</svg>")

@@ -111,18 +111,18 @@ def reference_extract(s: TwoQubitState) -> BlochCoordinates:
     split of q_B.  ``extract`` runs the same float operations without the
     objects, so the two agree bit for bit."""
     p = _base_point(s)
-    base = angles_from_base(p)
-    flags = set(base.flags)
+    theta, phi, chi, xi, base_flags = angles_from_base(p)
+    flags = set(base_flags)
     ch = math.sqrt(max(0.0, 0.5 * (1.0 + p.x0)))
     sh = math.sqrt(max(0.0, 0.5 * (1.0 - p.x0)))
-    t = PureUnitQuaternion.from_angles(base.chi, base.xi)
+    t = PureUnitQuaternion.from_angles(chi, xi)
     qs = quasi_state(s)
-    q_b = ch * qs.q0 + sh * (exp_pure(t, -base.phi) * qs.q1)
+    q_b = ch * qs.q0 + sh * (exp_pure(t, -phi) * qs.q1)
     u, v = to_complex_pair(q_b)
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
     flags.update(fiber_flags)
-    return BlochCoordinates(base.theta, base.phi, base.chi, base.xi,
-                            theta_b, phi_b, zeta_b, frozenset(flags))
+    return BlochCoordinates(theta, phi, chi, xi, theta_b, phi_b, zeta_b,
+                            frozenset(flags))
 
 
 def assert_extract_matches_reference(s: TwoQubitState):

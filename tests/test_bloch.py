@@ -31,6 +31,7 @@ from hopfbloch.quaternion import (
     exp_pure,
     from_complex_pair,
     to_complex_pair,
+    wrap_angle,
 )
 
 from helpers import (
@@ -249,6 +250,25 @@ def test_normalize_global_phase_on_flagged_coords():
     lhs = reconstruct(fixed).vector
     rhs = cmath.exp(-0.7j) * reconstruct(c).vector
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    # a flagged xi (chi = 0) or phi_b (theta_b = 0) is inert: it comes back
+    # bit for bit, an unflagged one shifts by 2 zeta_b, and flags carry over
+    xi_flag, phi_b_flag = CoordFlag.XI_UNDEFINED, CoordFlag.PHI_B_UNDEFINED
+    for chi, xi, theta_b, phi_b, flags in (
+            (0.0, 0.4, 0.9, 1.3, {xi_flag}),
+            (0.6, 2.0, 0.0, 0.5, {phi_b_flag}),
+            (0.0, 0.4, 0.0, 0.5, {xi_flag, phi_b_flag})):
+        c = BlochCoordinates(1.1, 0.8, chi, xi, theta_b, phi_b, 0.7,
+                             frozenset(flags))
+        fixed = normalize_global_phase(c)
+        assert fixed.flags == c.flags
+        want_xi = xi if xi_flag in flags else wrap_angle(xi - 1.4)
+        want_phi_b = phi_b if phi_b_flag in flags else wrap_angle(phi_b - 1.4)
+        assert fixed.xi.hex() == want_xi.hex()
+        assert fixed.phi_b.hex() == want_phi_b.hex()
+        assert fixed.zeta_b == 0.0
+        lhs = reconstruct(fixed).vector
+        rhs = cmath.exp(-0.7j) * reconstruct(c).vector
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_canonicalize_bell_alternate_branch():

@@ -17,6 +17,7 @@ from hopfbloch import (
     h1,
     inverse_stereographic,
 )
+from hopfbloch.hopf import _base_angles
 from hopfbloch.quaternion import angle_distance
 
 from helpers import (
@@ -133,21 +134,35 @@ def test_base_from_angles_lands_on_sphere():
 
 
 def test_angles_from_base_examples():
-    got = angles_from_base(S4Point(0, 0, 0, 1, 0))
-    assert max(abs(got.theta - math.pi / 2), abs(got.phi - math.pi / 2),
-               abs(got.chi - math.pi / 2), abs(got.xi - math.pi / 2)) <= 1e-12
-    assert not got.flags
+    theta, phi, chi, xi, flags = angles_from_base(S4Point(0, 0, 0, 1, 0))
+    assert max(abs(theta - math.pi / 2), abs(phi - math.pi / 2),
+               abs(chi - math.pi / 2), abs(xi - math.pi / 2)) <= 1e-12
+    assert not flags
 
-    got = angles_from_base(NORTH_POLE)
-    assert got.theta == 0.0 and got.phi == 0.0 and got.chi == 0.0 and got.xi == 0.0
+    theta, phi, chi, xi, flags = angles_from_base(NORTH_POLE)
+    assert theta == 0.0 and phi == 0.0 and chi == 0.0 and xi == 0.0
     assert {CoordFlag.PHI_A_UNDEFINED, CoordFlag.T_UNDEFINED,
-            CoordFlag.XI_UNDEFINED} <= got.flags
+            CoordFlag.XI_UNDEFINED} <= flags
 
-    got = angles_from_base(S4Point(0, 0, 0, 0, 1))
-    assert abs(got.theta - math.pi / 2) <= 1e-12
-    assert abs(got.phi - math.pi / 2) <= 1e-12
-    assert got.chi == 0.0 and got.xi == 0.0
-    assert got.flags == frozenset({CoordFlag.XI_UNDEFINED})
+    theta, phi, chi, xi, flags = angles_from_base(S4Point(0, 0, 0, 0, 1))
+    assert abs(theta - math.pi / 2) <= 1e-12
+    assert abs(phi - math.pi / 2) <= 1e-12
+    assert chi == 0.0 and xi == 0.0
+    assert flags == frozenset({CoordFlag.XI_UNDEFINED})
+
+    # the public tuple is _base_angles' own, with its flags as a frozenset,
+    # on the ten poles of S^4 and on random points
+    poles = [S4Point(*(sign * (i == k) for i in range(5)))
+             for k in range(5) for sign in (1.0, -1.0)]
+    rng = np.random.default_rng(12)
+    for v in rng.normal(size=(200, 5)):
+        poles.append(S4Point(*(v / np.linalg.norm(v)).tolist()))
+    for p in poles:
+        got = angles_from_base(p)
+        want = _base_angles(p.x0, p.x1, p.x2, p.x3, p.x4)
+        assert type(got) is tuple and len(got) == 5
+        assert got[:4] == want[:4]
+        assert type(got[4]) is frozenset and got[4] == frozenset(want[4])
 
 
 def test_angles_from_base_off_sphere_rejected():
@@ -171,13 +186,13 @@ def test_angle_base_roundtrip_unflagged():
         chi = rng.uniform(0.05, math.pi - 0.05)
         xi = rng.uniform(0, 2 * math.pi)
         p = base_from_angles(theta, phi, chi, xi)
-        got = angles_from_base(p)
-        assert not got.flags
-        assert abs(got.theta - theta) <= 1e-9
-        assert abs(got.phi - phi) <= 1e-9
-        assert abs(got.chi - chi) <= 1e-9
-        assert angle_distance(got.xi, xi) <= 1e-9
-        assert s4_close(base_from_angles(got.theta, got.phi, got.chi, got.xi), p)
+        got_theta, got_phi, got_chi, got_xi, flags = angles_from_base(p)
+        assert not flags
+        assert abs(got_theta - theta) <= 1e-9
+        assert abs(got_phi - phi) <= 1e-9
+        assert abs(got_chi - chi) <= 1e-9
+        assert angle_distance(got_xi, xi) <= 1e-9
+        assert s4_close(base_from_angles(got_theta, got_phi, got_chi, got_xi), p)
 
 
 def test_sphere_split_identity():
@@ -202,8 +217,7 @@ def test_point_angle_composition_on_random_points():
         v = rng.normal(size=5)
         v /= np.linalg.norm(v)
         p = S4Point(*v)
-        got = angles_from_base(p)
-        back = base_from_angles(got.theta, got.phi, got.chi, got.xi)
+        back = base_from_angles(*angles_from_base(p)[:4])
         assert s4_close(back, p)
 
 
