@@ -31,7 +31,7 @@ from .quaternion import (
     wrap_angle,
 )
 from .state import TwoQubitState
-from .tolerances import EPS_DEGENERATE, EPS_NUM, EPS_ZERO
+from .tolerances import EPS_NUM, EPS_ZERO
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -123,12 +123,12 @@ def _base_coords(a: complex, b: complex, g: complex,
                  d: complex) -> tuple[float, float, float, float, float]:
     """The five base coordinates from the amplitude bilinears.
 
-    Raises SouthPoleA for |1>_A (x) |psi_B>, where 1 + x0 vanishes.
+    Raises SouthPoleA only for |1>_A (x) |psi_B>, alpha = beta = 0 exactly.
     """
-    x0 = abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2
-    if 1.0 + x0 <= EPS_DEGENERATE:
+    if a == 0 and b == 0:
         n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
         raise SouthPoleA((g / n, d / n))
+    x0 = abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2
     col = 2.0 * (a.conjugate() * g + b.conjugate() * d)
     det2 = 2.0 * (a * d - b * g)
     return x0, col.real, -det2.imag, det2.real, col.imag
@@ -137,8 +137,8 @@ def _base_coords(a: complex, b: complex, g: complex,
 def extract(s: TwoQubitState) -> BlochCoordinates:
     """The seven angles of a state, on the canonical b >= 0 branch.
 
-    Raises SouthPoleA (carrying the normalized qubit-B amplitudes) for
-    states of the form |1>_A (x) |psi_B>, where the model is undefined.
+    Raises SouthPoleA (carrying the normalized qubit-B amplitudes) only at
+    alpha = beta = 0 exactly, |1>_A (x) |psi_B>, where the model is undefined.
     """
     a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
     x0, x1, x2, x3, x4 = _base_coords(a, b, g, d)
@@ -149,11 +149,9 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     # Every product and sum is the one of the Quaternion route (exp_pure,
     # Quaternion.__mul__ and __add__, to_complex_pair), operands in the same
     # order, which keeps the results bit-identical to it.
-    # (x0 can land one ulp above 1; near -1 _base_coords has raised)
-    ch = math.sqrt(0.5 * (1.0 + x0))
-    # max(0.0, h) as a comparison: max keeps 0.0 unless h > 0.0
-    h = 0.5 * (1.0 - x0)
-    sh = math.sqrt(h if h > 0.0 else 0.0)
+    # cos(theta_a/2) = |q0| and sin(theta_a/2) = |q1|, free of cancellation
+    ch = math.hypot(abs(a), abs(b))
+    sh = math.hypot(abs(g), abs(d))
     # t is _sphere_point(chi, xi), written out here to spare a call
     sc = math.sin(chi)
     tx, ty, tz = sc * math.cos(xi), sc * math.sin(xi), math.cos(chi)

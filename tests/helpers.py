@@ -113,8 +113,8 @@ def reference_extract(s: TwoQubitState) -> BlochCoordinates:
     p = _base_point(s)
     theta, phi, chi, xi, base_flags = angles_from_base(p)
     flags = set(base_flags)
-    ch = math.sqrt(max(0.0, 0.5 * (1.0 + p.x0)))
-    sh = math.sqrt(max(0.0, 0.5 * (1.0 - p.x0)))
+    ch = math.hypot(abs(s.alpha), abs(s.beta))
+    sh = math.hypot(abs(s.gamma), abs(s.delta))
     t = PureUnitQuaternion.from_angles(chi, xi)
     qs = quasi_state(s)
     q_b = ch * qs.q0 + sh * (exp_pure(t, -phi) * qs.q1)

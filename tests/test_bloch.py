@@ -105,6 +105,26 @@ def test_extract_south_pole_exception():
     assert abs(c1 - math.sin(mu)) <= 1e-15
 
 
+def test_extract_round_trips_for_every_q0_down_to_subnormal():
+    # |q0| = |(alpha, beta)| log-uniform from 1e-320 (subnormal) to 1: only
+    # alpha = beta = 0 exactly is the south pole.  Odd draws are products
+    # (q1 parallel to q0), whose small |q0| sets the phi_a and t flags.
+    rng = np.random.default_rng(26)
+    for i in range(2000):
+        r = 10.0 ** rng.uniform(-320.0, 0.0)
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        if i % 2:
+            w = u * cmath.exp(1j * rng.uniform(0.0, 2 * PI))
+        else:
+            w = rng.normal(size=2) + 1j * rng.normal(size=2)
+            w /= np.linalg.norm(w)
+        w *= math.sqrt(1.0 - r * r)
+        s = TwoQubitState(complex(r * u[0]), complex(r * u[1]),
+                          complex(w[0]), complex(w[1]))
+        assert phase_aligned_distance(s, reconstruct(extract(s))) <= 1e-9
+
+
 def test_extract_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         TwoQubitState(2, 0, 0, 0)
@@ -526,9 +546,9 @@ def test_nearer_branch_follows_coords_distance_rule():
     assert ties > 0
 
 
-# The measured phase laws (ROADMAP item 3): which angles a phase on the
-# amplitudes moves, and by how much.  Each law holds on every Haar and
-# product draw to 1e-12, wrap-aware.
+# The measured phase laws (README's "Measured laws"): which angles a phase
+# on the amplitudes moves, and by how much.  Each law holds on every Haar
+# and product draw to 1e-12, wrap-aware.
 
 ANGLE_NAMES = ("theta_a", "phi_a", "chi", "xi", "theta_b", "phi_b", "zeta_b")
 # the angles each flag pins to the convention 0

@@ -92,6 +92,16 @@ def test_coords_south_pole_error(capsys):
     assert record["psi_b"][1][0] == pytest.approx(math.sin(mu), abs=1e-12)
 
 
+def test_coords_near_the_south_pole_has_coordinates(capsys):
+    # |q0| = 1e-6: alpha = beta = 0 is the only south pole, so the state
+    # gets its angles, theta_a = pi - 2e-6
+    code, out = run(capsys, ["coords", "--state=1e-6,0;0,0;1,0;0,0"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["angles"]["theta_a"] == pytest.approx(PI - 2e-6, abs=1e-12)
+    assert "south_pole_a" not in record["flags"]
+
+
 def test_coords_not_normalized_error(capsys):
     code, out = run(capsys, ["coords", "--state", "1,0;1,0;0,0;0,0"])
     assert code == 3
@@ -150,13 +160,16 @@ def test_amplitudes_bell_01_and_roundtrip(capsys):
 
 
 def test_amplitudes_roundtrip_at_the_south_pole(capsys):
-    # theta_a = pi reconstructs |1>_A (x) |0>_B, which extract cannot re-read
+    # theta_a = pi leaves alpha = cos(pi/2) ~ 6.1e-17, not 0: off the exact
+    # south pole, so extract re-reads the state with its conventions flagged
     code, out = run(capsys, ["amplitudes", "--angles",
                              "3.141592653589793,0,0,0,0,0,0", "--roundtrip"])
     assert code == 0
     roundtrip = json.loads(out)["roundtrip"]
-    assert roundtrip["error"] == "south_pole_a"
-    assert roundtrip["psi_b"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert roundtrip["angle_max_deviation"] == 0.0
+    assert roundtrip["amplitude_max_deviation"] == 0.0
+    assert roundtrip["flags"] == ["phi_a_undefined", "phi_b_undefined",
+                                  "t_undefined", "xi_undefined"]
 
 
 def test_amplitudes_out_of_range(capsys):
@@ -391,6 +404,13 @@ def test_check_south_pole_state_is_an_error(capsys):
     assert json.loads(out)["error"] == "south_pole_a"
 
 
+def test_check_near_the_south_pole_checks_the_state(capsys):
+    code, out = run(capsys, ["check", "--state=1e-6,0;0,0;1,0;0,0"])
+    assert code == 0
+    assert out.count("ok  ") == 6
+    assert out.splitlines()[-1].startswith("checked 1 state(s), ")
+
+
 def test_check_fiber_step_skips_only_fiber_at_infinity(capsys, monkeypatch):
     # q1 = 0 (gamma = delta = 0): h1 raises FiberAtInfinity, which is skipped
     code, out = run(capsys, ["check", "--state=1,0;0,0;0,0;0,0"])
@@ -409,7 +429,7 @@ def test_check_fiber_step_skips_only_fiber_at_infinity(capsys, monkeypatch):
 
 def test_check_random_sweep_checks_every_draw(capsys, monkeypatch):
     # alpha = 1e-4, gamma = 1 gives 1 + x0 = 2e-8: close to the south pole but
-    # outside EPS_DEGENERATE, so the state is regular and must be checked
+    # off alpha = beta = 0, so the state is regular and must be checked
     class StubRng:
         def normal(self, size):
             if size == (1, 8):

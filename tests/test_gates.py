@@ -344,7 +344,7 @@ def test_trajectory_matches_reference_loop():
     states += random_product_states(rng, 3) + random_states(rng, 3)
     states += [
         TwoQubitState(0, 0, 0.6, 0.8),  # on the south pole at every sample
-        # SWAP carries this one onto the south pole from the (-b, -t) twin
+        # SWAP carries this one to b ~ 0 (t_undefined) from the (-b, -t) twin
         TwoQubitState(0, math.cos(0.8) * cmath.exp(6j), 0,
                       math.sin(0.8) * cmath.exp(0.9j)),
     ]
@@ -355,7 +355,7 @@ def test_trajectory_matches_reference_loop():
         eta, omega = rng.uniform(-2 * PI, 2 * PI, size=2)
         gates.append(GateSpec.controlled_u(axis / np.linalg.norm(axis),
                                            omega, eta))
-    flips = south_pole_flips = 0
+    flips = twinless_flips = 0
     for g in gates:
         for s in states:
             got = trajectory(g, s, 12, 12)
@@ -367,13 +367,15 @@ def test_trajectory_matches_reference_loop():
                 assert a.coords.flags == b.coords.flags
                 assert a.branch_flip == b.branch_flip
                 flips += a.branch_flip
-                south_pole_flips += (a.branch_flip and CoordFlag.SOUTH_POLE_A
-                                     in a.coords.flags)
+                twinless_flips += (a.branch_flip
+                                   and alternate(a.coords) is a.coords)
             assert got.samples[-1].state == want.samples[-1].state
     # every case of the flip rule ran: flips onto and off the twin, and a
-    # flip back to the canonical branch on a south-pole sample
+    # flip back to the canonical branch on a sample without a twin (a gate
+    # keeps alpha = beta = 0 only where its input had it, so no sample
+    # enters the south pole from the twin)
     assert flips > 0
-    assert south_pole_flips > 0
+    assert twinless_flips > 0
 
 
 def reference_loop_pool():

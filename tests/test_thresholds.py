@@ -1,8 +1,8 @@
 """Property tests across the degeneracy thresholds.
 
 Each zone draws states whose b, c, sin(theta_a), |u| or |v| (q_B = u + v*j)
-lies within a few decades of EPS_ZERO, or whose 1 + x0 lies near
-EPS_DEGENERATE; the other angles are generic.  In every zone ``extract``
+lies within a few decades of EPS_ZERO, or whose 1 + x0 = 2|q0|^2 is tiny,
+near the south pole; the other angles are generic.  In every zone ``extract``
 must equal the Quaternion route bit for bit, so each flag fires on the same
 inputs, and every state off the south pole must round-trip.  Across the
 range bounds of the seven angles (within and beyond EPS_NUM),
@@ -30,8 +30,9 @@ TINY = st.floats(-15.0, -9.0).map(lambda e: 10.0 ** e)
 NEAR_POLES = st.one_of(TINY, TINY.map(lambda d: PI - d))
 NEAR_AXIS = st.one_of(NEAR_POLES, TINY.map(lambda d: PI + d),
                       TINY.map(lambda d: 2 * PI - d))
-# theta_a with 1 + x0 = 2 sin^2((pi - theta_a)/2) in 1e-11 .. 1e-7, two
-# decades either side of EPS_DEGENERATE = 1e-9
+# theta_a with 1 + x0 = 2 sin^2((pi - theta_a)/2) in 1e-11 .. 1e-7, where
+# sqrt((1 + x0)/2) would lose digits to cancellation: extract takes
+# cos(theta_a/2) as |q0| instead
 SOUTH_BAND = st.floats(-11.0, -7.0).map(
     lambda e: PI - 2.0 * math.asin(math.sqrt(0.5 * 10.0 ** e)))
 
