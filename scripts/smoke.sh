@@ -55,13 +55,19 @@ if [ "$numpy" = 1 ]; then
     HOPFBLOCH_SEED=7 "$@" check --count 500 --tolerance 1e-9 > "$out/check-env.out"
     cmp "$out/check-env.out" "$golden/check.out"
 
-    # check on one state; |q0| = 1e-6 is off the south pole alpha = beta = 0
+    # check on one state; |q0| = 1e-6 is off the south pole alpha = beta = 0,
+    # and gamma = 1e-12 and 1.1e-12 take the two sides of the fiber step's
+    # FiberAtInfinity threshold
     "$@" check --bell 00 > "$out/check-bell.out"
     tail -n 1 "$out/check-bell.out" | grep '^checked 1 state(s), '
     "$@" check "--state=1,0;0,0;0,0;0,0" > "$out/check-state.out"
     tail -n 1 "$out/check-state.out" | grep '^checked 1 state(s), '
     "$@" check "--state=1e-6,0;0,0;1,0;0,0" > "$out/check-band.out"
     tail -n 1 "$out/check-band.out" | grep '^checked 1 state(s), '
+    "$@" check "--state=1,0;0,0;1e-12,0;0,0" > "$out/check-at-infinity.out"
+    tail -n 1 "$out/check-at-infinity.out" | grep '^checked 1 state(s), '
+    "$@" check "--state=1,0;0,0;1.1e-12,0;0,0" > "$out/check-past-infinity.out"
+    tail -n 1 "$out/check-past-infinity.out" | grep '^checked 1 state(s), '
 fi
 
 # Library example

@@ -38,17 +38,17 @@ from .errors import (
     UnknownGate,
 )
 from .gates import GateSpec, TrajectorySample, _samples
-from .hopf import h1, inverse_stereographic
-from .quaternion import Quaternion, _sphere_point, angle_distance
+from .hopf import _base_point, _h1, _lift
+from .quaternion import _from_complex_pair, _hamilton, _sphere_point, angle_distance
 from .state import (
     TwoQubitState,
+    _dyad,
+    _matmul,
     _projection_entries,
     _reduced_entries,
     bell_state,
     concurrence,
     phase_aligned_distance,
-    quasi_density,
-    quasi_state,
 )
 from .tolerances import EPS_NUM
 
@@ -308,24 +308,34 @@ _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
 
 
 def _nan_max(values: tuple[float, ...]) -> float:
-    """max that returns NaN when any value is NaN (the builtin can drop it)."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    """max that returns NaN when any value is NaN (the builtin can drop it).
+    Otherwise it keeps the first of equal values, as max does."""
+    top = values[0]
+    for value in values:
+        if value > top:
+            top = value
+        elif value != value:
+            return math.nan
+    return top
 
 
-def _distance(p: Quaternion, q: Quaternion) -> float:
-    """(p - q).norm(), without the intermediate Quaternion."""
-    w = p.w - q.w
-    x = p.x - q.x
-    y = p.y - q.y
-    z = p.z - q.z
+def _distance(p: tuple, q: tuple) -> float:
+    """(p - q).norm() of two quaternions given as (w, x, y, z)."""
+    w = p[0] - q[0]
+    x = p[1] - q[1]
+    y = p[2] - q[2]
+    z = p[3] - q[3]
     return math.sqrt(w * w + x * x + y * y + z * z)
 
 
-def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
+def _deviations(s: TwoQubitState, fib: list[float]) -> tuple[tuple, tuple]:
     """The state's deviation from each of _INVARIANTS but reduced_vs_oracle,
     in that order, and the 12 entries of the three 2x2 matrices that
     _check_table compares with its dense oracle for reduced_vs_oracle, row
-    by row; fib is the unit fiber element for fiber_invariance."""
+    by row; fib is the (w, x, y, z) of the unit fiber element for
+    fiber_invariance.  Past extract and reconstruct, it runs on the float
+    cores that the public objects wrap, so it checks their numbers bit for
+    bit."""
     coords = extract(s)
     round_trip = phase_aligned_distance(s, reconstruct(coords))
 
@@ -337,28 +347,29 @@ def _deviations(s: TwoQubitState, fib: Quaternion) -> tuple[tuple, tuple]:
         det2 = 2.0 * (a * d - b * g)
         conc = _nan_max((conc, abs(claim - det2)))
 
-    qs = quasi_state(s)
-    rho = quasi_density(qs)
-    sq = rho.matmul(rho)
+    q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
+    rho = _dyad(q0, q1)
+    e00, e01, e10, e11 = rho
+    s00, s01, s10, s11 = _matmul(rho, rho)
     projector = _nan_max((
-        abs(rho.trace - 1.0), _distance(sq.e00, rho.e00),
-        _distance(sq.e01, rho.e01), _distance(sq.e10, rho.e10),
-        _distance(sq.e11, rho.e11)))
+        abs(e00[0] + e11[0] - 1.0), _distance(s00, e00), _distance(s01, e01),
+        _distance(s10, e10), _distance(s11, e11)))
 
     # the reduced density matrices of qubits A and B, and the projection of
     # the base point, which the oracle compares with A's
-    p = coords.s4_point
+    p = _base_point(coords.theta_a, coords.phi_a, coords.chi, coords.xi)
     reduced = (*_reduced_entries(a, b, g, d), *_reduced_entries(a, g, b, d),
                *_projection_entries(p))
 
-    ball = abs(p.x0 ** 2 + p.x1 ** 2 + p.x4 ** 2 + p.c ** 2 - 1.0)
+    x0, x1, x2, x3, x4 = p
+    ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
 
     try:
-        base = inverse_stereographic(h1(qs.q0, qs.q1))
-        moved = inverse_stereographic(h1(qs.q0 * fib, qs.q1 * fib))
-        fiber = _nan_max((abs(base.x0 - moved.x0), abs(base.x1 - moved.x1),
-                          abs(base.x2 - moved.x2), abs(base.x3 - moved.x3),
-                          abs(base.x4 - moved.x4)))
+        base = _lift(_h1(q0, q1))
+        moved = _lift(_h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib)))
+        fiber = _nan_max((abs(base[0] - moved[0]), abs(base[1] - moved[1]),
+                          abs(base[2] - moved[2]), abs(base[3] - moved[3]),
+                          abs(base[4] - moved[4])))
     except FiberAtInfinity:
         # q1 = 0: every fiber element maps to the north pole, so there is
         # nothing to compare
@@ -389,9 +400,16 @@ _CHECK_BLOCK = 128
 
 def _unit_rows(rows: np.ndarray) -> list[list]:
     """Each row divided by its norm, as Python numbers.  One norm per row:
-    BLAS sums a whole array in another order."""
-    import numpy as np
-    return (rows / [[np.linalg.norm(row)] for row in rows]).tolist()
+    BLAS sums a whole array in another order.  Each norm is the one that
+    np.linalg.norm(row) returns (numpy >= 1.24 takes these same dot calls
+    for a 1-D row and ord=None, and its sqrt rounds as math.sqrt does), so
+    the rows are bit-identical to it, without its argument handling."""
+    if rows.dtype.kind == "c":
+        norms = [[math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))]
+                 for row in rows]
+    else:
+        norms = [[math.sqrt(row.dot(row))] for row in rows]
+    return (rows / norms).tolist()
 
 
 def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
@@ -416,7 +434,7 @@ def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
         states = [state] if state is not None else [
             TwoQubitState(*amps)
             for amps in _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2])]
-        fibs = [Quaternion(*q) for q in _unit_rows(rng.normal(size=(len(states), 4)))]
+        fibs = _unit_rows(rng.normal(size=(len(states), 4)))
         rows, got = zip(*map(_deviations, states, fibs))
         table[block, [0, 1, 2, 4, 5]] = rows  # all but reduced_vs_oracle
         table[block, 3] = _reduced_vs_oracle(states, np.array(got, dtype=complex))

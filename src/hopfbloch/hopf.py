@@ -20,6 +20,7 @@ from .quaternion import (
     _hamilton,
     _slot_setters,
     _sphere_point,
+    _wxyz,
     wrap_angle,
 )
 from .tolerances import EPS_UNIT, EPS_ZERO
@@ -106,8 +107,13 @@ def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     |q1| vanishes: that pair belongs to the excluded north pole and the
     caller must use (1,0,0,0,0) directly.
     """
-    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
-    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
+    return Quaternion(*_h1(_wxyz(q0), _wxyz(q1)))
+
+
+def _h1(q0: tuple, q1: tuple) -> tuple[float, float, float, float]:
+    """``h1`` on the pair's (w, x, y, z), as Q's (w, x, y, z)."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
     # the sums of q0.norm_squared() + q1.norm_squared(), in their order
     n2 = w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1
     total = (w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0) + n2
@@ -118,15 +124,20 @@ def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
     # (q1 * q0.conjugate()) * (1.0 / n2), without the intermediate objects
     r = 1.0 / n2
     w, x, y, z = _hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0)
-    return Quaternion(w * r, x * r, y * r, z * r)
+    return w * r, x * r, y * r, z * r
 
 
 def inverse_stereographic(q: Quaternion) -> S4Point:
     """Lift the R^4 point Q onto the unit 4-sphere (origin to the south pole)."""
-    n2 = q.norm_squared()
+    return S4Point(*_lift(_wxyz(q)))
+
+
+def _lift(q: tuple) -> tuple[float, float, float, float, float]:
+    """``inverse_stereographic`` on Q's (w, x, y, z), as (x0, x1, x2, x3, x4)."""
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z  # q.norm_squared(), in its order
     d = n2 + 1.0
-    return S4Point((n2 - 1.0) / d, 2.0 * q.w / d, 2.0 * q.x / d,
-                   2.0 * q.y / d, 2.0 * q.z / d)
+    return (n2 - 1.0) / d, 2.0 * w / d, 2.0 * x / d, 2.0 * y / d, 2.0 * z / d
 
 
 def base_from_angles(theta: float, phi: float, chi: float, xi: float) -> S4Point:
@@ -136,15 +147,15 @@ def base_from_angles(theta: float, phi: float, chi: float, xi: float) -> S4Point
     b*t with b = sin(theta)sin(phi), t = (sin(chi)cos(xi), sin(chi)sin(xi),
     cos(chi)).
     """
+    return S4Point(*_base_point(theta, phi, chi, xi))
+
+
+def _base_point(theta: float, phi: float, chi: float,
+                xi: float) -> tuple[float, float, float, float, float]:
+    """``base_from_angles`` on bare floats, as (x0, x1, x2, x3, x4)."""
     x1, b, x0 = _sphere_point(theta, phi)
     sc = math.sin(chi)
-    return S4Point(
-        x0,
-        x1,
-        b * sc * math.cos(xi),
-        b * sc * math.sin(xi),
-        b * math.cos(chi),
-    )
+    return x0, x1, b * sc * math.cos(xi), b * sc * math.sin(xi), b * math.cos(chi)
 
 
 def angles_from_base(p: S4Point) -> tuple:

@@ -116,6 +116,11 @@ class Quaternion:
 _set_w, _set_x, _set_y, _set_z = _slot_setters(Quaternion)
 
 
+def _wxyz(q: Quaternion) -> tuple[float, float, float, float]:
+    """q's components as the (w, x, y, z) that the float cores take."""
+    return q.w, q.x, q.y, q.z
+
+
 def to_complex_pair(q: Quaternion) -> tuple[complex, complex]:
     """Split q = u + v*j into complex u, v, with k as the complex unit.
 
@@ -127,7 +132,13 @@ def to_complex_pair(q: Quaternion) -> tuple[complex, complex]:
 
 def from_complex_pair(u: complex, v: complex) -> Quaternion:
     """Assemble u + v*j from two complex numbers (k as the complex unit)."""
-    return Quaternion(u.real, -v.imag, v.real, u.imag)
+    return Quaternion(*_from_complex_pair(u, v))
+
+
+def _from_complex_pair(u: complex, v: complex) -> tuple[float, float, float,
+                                                        float]:
+    """``from_complex_pair`` on bare floats, as its (w, x, y, z)."""
+    return u.real, -v.imag, v.real, u.imag
 
 
 @dataclass(frozen=True, slots=True)

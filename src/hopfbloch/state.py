@@ -17,11 +17,12 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
-from .hopf import S4Point
+from .hopf import S4Point, _validate
 from .quaternion import (
     Quaternion,
     _hamilton,
     _slot_setters,
+    _wxyz,
     from_complex_pair,
     wrap_angle,
 )
@@ -184,10 +185,9 @@ class QuasiDensity:
         return self.e00.w + self.e11.w
 
     def matmul(self, other: "QuasiDensity") -> "QuasiDensity":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return QuasiDensity(_product_sum(a, e, b, g), _product_sum(a, f, b, h),
-                            _product_sum(c, e, d, g), _product_sum(c, f, d, h))
+        m = tuple(map(_wxyz, self.entries()))
+        n = tuple(map(_wxyz, other.entries()))
+        return QuasiDensity(*(Quaternion(*e) for e in _matmul(m, n)))
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.e00, self.e01, self.e10, self.e11
@@ -196,28 +196,42 @@ class QuasiDensity:
 _set_e00, _set_e01, _set_e10, _set_e11 = _slot_setters(QuasiDensity)
 
 
-def _product_sum(p: Quaternion, q: Quaternion, r: Quaternion,
-                 s: Quaternion) -> Quaternion:
-    """p * q + r * s, without the intermediate objects."""
-    w1, x1, y1, z1 = _hamilton(p.w, p.x, p.y, p.z, q.w, q.x, q.y, q.z)
-    w2, x2, y2, z2 = _hamilton(r.w, r.x, r.y, r.z, s.w, s.x, s.y, s.z)
-    return Quaternion(w1 + w2, x1 + x2, y1 + y2, z1 + z2)
+def _matmul(m: tuple, n: tuple) -> tuple:
+    """``QuasiDensity.matmul`` on bare floats: m and n give their entries
+    e00, e01, e10, e11 each as a (w, x, y, z), and so does the result."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (_product_sum(a, e, b, g), _product_sum(a, f, b, h),
+            _product_sum(c, e, d, g), _product_sum(c, f, d, h))
+
+
+def _product_sum(p: tuple, q: tuple, r: tuple, s: tuple) -> tuple:
+    """p * q + r * s on (w, x, y, z) tuples."""
+    w1, x1, y1, z1 = _hamilton(*p, *q)
+    w2, x2, y2, z2 = _hamilton(*r, *s)
+    return w1 + w2, x1 + x2, y1 + y2, z1 + z2
 
 
 def quasi_density(qs: QuasiState) -> QuasiDensity:
     """Dyad |psi~><psi~| of the quaternion pair."""
-    n = qs.norm_squared()
+    entries = _dyad(_wxyz(qs.q0), _wxyz(qs.q1))
+    return QuasiDensity(*(Quaternion(*e) for e in entries))
+
+
+def _dyad(q0: tuple, q1: tuple) -> tuple:
+    """``quasi_density`` on the pair's (w, x, y, z): the entries e00, e01,
+    e10, e11, each q_i * q_j.conjugate() as a (w, x, y, z)."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
+    # the sums of qs.norm_squared(), in their order
+    n = ((w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0)
+         + (w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1))
     if not (abs(n - 1.0) <= EPS_UNIT):
         raise NotNormalized(f"quasi-state norm^2 {n:.12g} is not 1")
-    # each entry q_i * q_j.conjugate(), without the intermediate objects
-    q0, q1 = qs.q0, qs.q1
-    w0, x0, y0, z0 = q0.w, q0.x, q0.y, q0.z
-    w1, x1, y1, z1 = q1.w, q1.x, q1.y, q1.z
-    return QuasiDensity(
-        Quaternion(*_hamilton(w0, x0, y0, z0, w0, -x0, -y0, -z0)),
-        Quaternion(*_hamilton(w0, x0, y0, z0, w1, -x1, -y1, -z1)),
-        Quaternion(*_hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0)),
-        Quaternion(*_hamilton(w1, x1, y1, z1, w1, -x1, -y1, -z1)))
+    return (_hamilton(w0, x0, y0, z0, w0, -x0, -y0, -z0),
+            _hamilton(w0, x0, y0, z0, w1, -x1, -y1, -z1),
+            _hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0),
+            _hamilton(w1, x1, y1, z1, w1, -x1, -y1, -z1))
 
 
 def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:
@@ -258,17 +272,19 @@ def partial_trace_projection(p: S4Point) -> np.ndarray:
     ball of radius sqrt(1 - c^2).
     """
     import numpy as np
-    return np.array(_projection_entries(p), dtype=complex).reshape(2, 2)
+    point = p.x0, p.x1, p.x2, p.x3, p.x4
+    return np.array(_projection_entries(point), dtype=complex).reshape(2, 2)
 
 
-def _projection_entries(p: S4Point) -> tuple[float, complex, complex, float]:
-    """The entries of ``partial_trace_projection``, row by row, as Python
-    numbers: each entry times 0.5 + 0j, the complex product that numpy forms
-    for 0.5 * array.  On the diagonal, whose imaginary part is 0.0, that
-    product is (0.5 * (1 +- x0), 0.0) for every finite x0, and validate
-    lets no other through."""
-    p.validate()
-    off = complex(p.x1, -p.x4)
-    x0 = p.x0
+def _projection_entries(p: tuple) -> tuple[float, complex, complex, float]:
+    """The entries of ``partial_trace_projection`` at the base point's
+    (x0, x1, x2, x3, x4), row by row, as Python numbers: each entry times
+    0.5 + 0j, the complex product that numpy forms for 0.5 * array.  On the
+    diagonal, whose imaginary part is 0.0, that product is
+    (0.5 * (1 +- x0), 0.0) for every finite x0, and the sphere check lets
+    no other through."""
+    _validate(*p)
+    x0, x1, _, _, x4 = p
+    off = complex(x1, -x4)
     return (0.5 * (1.0 + x0), (0.5 + 0j) * off, (0.5 + 0j) * off.conjugate(),
             0.5 * (1.0 - x0))

@@ -18,19 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfbloch import (
+    FiberAtInfinity,
     GateSpec,
     OffSphere,
-    QuasiDensity,
-    Quaternion,
-    S4Point,
     TwoQubitState,
     bell_state,
-    inverse_stereographic,
+    h1,
     phase_aligned_distance,
+    quasi_state,
     trajectory,
 )
 from hopfbloch import cli, svg
 from hopfbloch.cli import main
+from hopfbloch.hopf import _h1, _lift
+from hopfbloch.quaternion import _from_complex_pair
 from hopfbloch.state import _reduced_entries
 
 from helpers import (
@@ -421,7 +422,7 @@ def test_check_fiber_step_skips_only_fiber_at_infinity(capsys, monkeypatch):
     def off_sphere(q):
         raise OffSphere("injected")
 
-    monkeypatch.setattr("hopfbloch.cli.inverse_stereographic", off_sphere)
+    monkeypatch.setattr("hopfbloch.cli._lift", off_sphere)
     code, out = run(capsys, ["check", "--bell", "00"])
     assert code == 3
     assert json.loads(out)["error"] == "domain"
@@ -445,10 +446,9 @@ def test_check_random_sweep_checks_every_draw(capsys, monkeypatch):
 
 
 def _nan_x4(q):
-    """inverse_stereographic with x4 = NaN: of the five coordinates that
+    """hopf._lift with x4 = NaN: of the five coordinates that
     fiber_invariance compares, only the last differs by NaN."""
-    p = inverse_stereographic(q)
-    return S4Point(p.x0, p.x1, p.x2, p.x3, math.nan)
+    return (*_lift(q)[:4], math.nan)
 
 
 def _nan_last_entry(a, b, c, d):
@@ -462,13 +462,13 @@ def _nan_last_entry(a, b, c, d):
 NAN_DEVIATIONS = [
     ("phase_aligned_distance", lambda s1, s2: math.nan, "round_trip"),
     ("concurrence", lambda s: (math.nan, 0.0), "concurrence_identity"),
-    ("quasi_density",
-     lambda qs: QuasiDensity(Quaternion(0.5), Quaternion(), Quaternion(),
-                             Quaternion(0.5, math.nan)),
+    ("_dyad",
+     lambda q0, q1: ((0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.0, 0.0), (0.5, math.nan, 0.0, 0.0)),
      "projector"),
     ("_projection_entries", lambda p: (complex(math.nan),) * 4,
      "reduced_vs_oracle"),
-    ("inverse_stereographic", _nan_x4, "fiber_invariance"),
+    ("_lift", _nan_x4, "fiber_invariance"),
 ]
 
 
@@ -493,9 +493,38 @@ def test_check_nan_deviation_fails_its_invariant(capsys, monkeypatch, target,
             assert line.startswith("ok  "), line
 
 
-# --bell 00, and --state=1,0;0,0;0,0;0,0, whose q1 = 0 takes the
-# FiberAtInfinity branch of fiber_invariance
-CHECK_STATES = (bell_state("00"), TwoQubitState(1 + 0j, 0j, 0j, 0j))
+# gamma of --state=1,0;0,0;gamma,0;0,0 -> whether h1 raises FiberAtInfinity
+# there: |q1|^2 = gamma^2 is EPS_ZERO**2 at gamma = 1e-12, the last value
+# that h1 rejects, so one ulp below it raises too and 1.1e-12 passes
+FIBER_THRESHOLD_GAMMAS = {1e-12: True, math.nextafter(1e-12, 0.0): True,
+                          1.1e-12: False}
+
+# --bell 00, --state=1,0;0,0;0,0;0,0, whose q1 = 0 takes the
+# FiberAtInfinity branch of fiber_invariance, and the states on either side
+# of that branch's threshold
+CHECK_STATES = (bell_state("00"), TwoQubitState(1 + 0j, 0j, 0j, 0j),
+                *(TwoQubitState(1 + 0j, 0j, complex(gamma), 0j)
+                  for gamma in FIBER_THRESHOLD_GAMMAS))
+
+
+def test_check_states_take_their_side_of_the_fiber_threshold():
+    for gamma, at_infinity in FIBER_THRESHOLD_GAMMAS.items():
+        s = TwoQubitState(1 + 0j, 0j, complex(gamma), 0j)
+        assert s.gamma == gamma  # stored as given: its norm^2 rounds to 1
+        qs = quasi_state(s)
+        q0 = _from_complex_pair(s.alpha, s.beta)
+        q1 = _from_complex_pair(s.gamma, s.delta)
+        fiber = cli._check_table(np.random.default_rng(0), s, 1)[0, 5]
+        if at_infinity:
+            with pytest.raises(FiberAtInfinity):
+                h1(qs.q0, qs.q1)
+            with pytest.raises(FiberAtInfinity):
+                _h1(q0, q1)
+            assert fiber == 0.0
+        else:
+            q = h1(qs.q0, qs.q1)
+            assert (q.w, q.x, q.y, q.z) == _h1(q0, q1)
+            assert math.isfinite(fiber)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -10,14 +10,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
 
 HOT = {
-    "quaternion": ("_wrapped_distance", "_hamilton"),
-    "hopf": ("_base_angles", "h1", "inverse_stereographic"),
+    "quaternion": ("_wrapped_distance", "_hamilton", "_from_complex_pair"),
+    "hopf": ("_base_angles", "h1", "inverse_stereographic", "_h1", "_lift",
+             "_base_point"),
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
-              "_projection_entries"),
+              "_projection_entries", "_dyad", "_matmul"),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
-    "cli": ("_deviations", "_distance", "_num", "_sample_numbers",
+    "cli": ("_deviations", "_distance", "_nan_max", "_num", "_sample_numbers",
             "_sample_json", "_traj_json", "_traj_csv", "_traj_svg"),
 }
 BUILTINS = {"min", "max"}

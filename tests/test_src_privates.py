@@ -121,9 +121,13 @@ UNCALLED_PUBLIC = {
     "gates.gate_matrix": TRACER,
     "gates.trajectory": README,
     "hopf.angles_from_base": TRACER,
+    "hopf.h1": TRACER,
+    "hopf.inverse_stereographic": TRACER,
     "quaternion.exp_pure": TRACER,
     "quaternion.to_complex_pair": TRACER,
     "state.partial_trace_projection": README,
+    "state.quasi_density": TRACER,
+    "state.quasi_state": README,
     "state.reduced_density": TRACER,
 }
 

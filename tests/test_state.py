@@ -452,8 +452,9 @@ def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
     for p in [*_base_points(states), *_signed_zero_points()]:
         got = partial_trace_projection(p)
         assert got.tobytes() == numpy_projection(p).tobytes(), p
-        assert (np.array(_projection_entries(p), dtype=complex).reshape(2, 2)
-                .tobytes() == got.tobytes()), p
+        entries = _projection_entries((p.x0, p.x1, p.x2, p.x3, p.x4))
+        assert (np.array(entries, dtype=complex).reshape(2, 2).tobytes()
+                == got.tobytes()), p
         negative_zeros["projection"] += _has_negative_zero(got)
     # enough outputs carry a -0.0 for the signs to be compared
     assert negative_zeros["reduced"] >= 400
