@@ -68,6 +68,11 @@ if [ "$numpy" = 1 ]; then
     tail -n 1 "$out/check-at-infinity.out" | grep '^checked 1 state(s), '
     "$@" check "--state=1,0;0,0;1.1e-12,0;0,0" > "$out/check-past-infinity.out"
     tail -n 1 "$out/check-past-infinity.out" | grep '^checked 1 state(s), '
+
+    # a full block of 128 states and a block of one, whose columns hold one
+    # entry each
+    "$@" check --count 129 > "$out/check-129.out"
+    tail -n 1 "$out/check-129.out" | grep '^checked 129 state(s), '
 fi
 
 # Library example

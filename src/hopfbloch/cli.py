@@ -30,7 +30,6 @@ from .bloch import (
     reconstruct,
 )
 from .errors import (
-    FiberAtInfinity,
     HopfBlochError,
     NotNormalized,
     OutOfRange,
@@ -38,11 +37,12 @@ from .errors import (
     UnknownGate,
 )
 from .gates import GateSpec, TrajectorySample, _samples
-from .hopf import _base_point, _h1, _lift
+from .hopf import _base_point, _h1, _lift, _pair_norms, _quotient
 from .quaternion import _from_complex_pair, _hamilton, _sphere_point, angle_distance
 from .state import (
     TwoQubitState,
     _dyad,
+    _dyad_entries,
     _matmul,
     _projection_entries,
     _reduced_entries,
@@ -50,7 +50,7 @@ from .state import (
     concurrence,
     phase_aligned_distance,
 )
-from .tolerances import EPS_NUM
+from .tolerances import EPS_NUM, EPS_UNIT, EPS_ZERO
 
 if TYPE_CHECKING:
     import numpy as np
@@ -319,23 +319,34 @@ def _nan_max(values: tuple[float, ...]) -> float:
     return top
 
 
-def _distance(p: tuple, q: tuple) -> float:
-    """(p - q).norm() of two quaternions given as (w, x, y, z)."""
+def _nan_max_columns(columns: tuple) -> np.ndarray:
+    """_nan_max row by row over numpy columns of values that are never -0.0:
+    math.nan itself wherever a column holds a NaN, as _nan_max returns it."""
+    import numpy as np
+    top = functools.reduce(np.maximum, columns)  # np.maximum keeps NaN
+    return np.where(top != top, math.nan, top)
+
+
+def _distance(p: tuple, q: tuple) -> np.ndarray:
+    """(p - q).norm() of two quaternions given as (w, x, y, z) columns."""
+    import numpy as np
     w = p[0] - q[0]
     x = p[1] - q[1]
     y = p[2] - q[2]
     z = p[3] - q[3]
-    return math.sqrt(w * w + x * x + y * y + z * z)
+    return np.sqrt(w * w + x * x + y * y + z * z)
 
 
-def _deviations(s: TwoQubitState, fib: list[float]) -> tuple[tuple, tuple]:
-    """The state's deviation from each of _INVARIANTS but reduced_vs_oracle,
-    in that order, and the 12 entries of the three 2x2 matrices that
-    _check_table compares with its dense oracle for reduced_vs_oracle, row
-    by row; fib is the (w, x, y, z) of the unit fiber element for
-    fiber_invariance.  Past extract and reconstruct, it runs on the float
-    cores that the public objects wrap, so it checks their numbers bit for
-    bit."""
+def _deviations(s: TwoQubitState) -> tuple[tuple, tuple]:
+    """The state's deviation from round_trip, concurrence_identity and
+    ball_identity, and the 12 entries of the three 2x2 matrices that
+    _check_block compares with its dense oracle for reduced_vs_oracle, row
+    by row.  These steps stay on Python floats, a state at a time: extract,
+    reconstruct and phase_aligned_distance branch per state, and numpy
+    rounds its hypot and ** apart from math.hypot and Python's ** (in 1,125
+    and 162 of 200,000 normal draws).  Past extract and reconstruct, it
+    runs on the float cores that the public objects wrap, so it checks
+    their numbers bit for bit."""
     coords = extract(s)
     round_trip = phase_aligned_distance(s, reconstruct(coords))
 
@@ -347,14 +358,6 @@ def _deviations(s: TwoQubitState, fib: list[float]) -> tuple[tuple, tuple]:
         det2 = 2.0 * (a * d - b * g)
         conc = _nan_max((conc, abs(claim - det2)))
 
-    q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
-    rho = _dyad(q0, q1)
-    e00, e01, e10, e11 = rho
-    s00, s01, s10, s11 = _matmul(rho, rho)
-    projector = _nan_max((
-        abs(e00[0] + e11[0] - 1.0), _distance(s00, e00), _distance(s01, e01),
-        _distance(s10, e10), _distance(s11, e11)))
-
     # the reduced density matrices of qubits A and B, and the projection of
     # the base point, which the oracle compares with A's
     p = _base_point(coords.theta_a, coords.phi_a, coords.chi, coords.xi)
@@ -363,28 +366,65 @@ def _deviations(s: TwoQubitState, fib: list[float]) -> tuple[tuple, tuple]:
 
     x0, x1, x2, x3, x4 = p
     ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
-
-    try:
-        base = _lift(_h1(q0, q1))
-        moved = _lift(_h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib)))
-        fiber = _nan_max((abs(base[0] - moved[0]), abs(base[1] - moved[1]),
-                          abs(base[2] - moved[2]), abs(base[3] - moved[3]),
-                          abs(base[4] - moved[4])))
-    except FiberAtInfinity:
-        # q1 = 0: every fiber element maps to the north pole, so there is
-        # nothing to compare
-        fiber = 0.0
-    return (round_trip, conc, projector, ball, fiber), reduced
+    return (round_trip, conc, ball), reduced
 
 
-def _reduced_vs_oracle(states: list[TwoQubitState],
-                       got: np.ndarray) -> np.ndarray:
+def _quaternion_deviations(vec: np.ndarray,
+                           fibs: np.ndarray) -> tuple[int, np.ndarray,
+                                                      np.ndarray]:
+    """(stop, projector, fiber) of a block of states, given their amplitudes
+    `vec` and unit fiber elements `fibs`, a row each: the projector and
+    fiber_invariance deviations as columns, and the first row that a
+    NotNormalized guard of _dyad or _h1 rejects (len(vec) when none does),
+    from which on the columns mean nothing.
+
+    The float cores run unchanged on numpy float64 columns.  numpy's + - *
+    /, sqrt and abs round as Python's floats do, each ufunc call is one
+    operation (nothing fuses a multiply and an add), and the expression
+    trees are the cores' own, so each row is bit for bit what the cores give
+    on that state's floats.  Only the guards take a column form."""
+    import numpy as np
+    q0 = _from_complex_pair(vec[:, 0], vec[:, 1])
+    q1 = _from_complex_pair(vec[:, 2], vec[:, 3])
+    fib = tuple(fibs.T)
+    # Python's floats warn of nothing, and the rows at infinity divide by
+    # zero, which _h1's guard keeps them from
+    with np.errstate(all="ignore"):
+        rho = _dyad_entries(q0, q1)
+        e00, e01, e10, e11 = rho
+        s00, s01, s10, s11 = _matmul(rho, rho)
+        projector = _nan_max_columns((
+            abs(e00[0] + e11[0] - 1.0), _distance(s00, e00),
+            _distance(s01, e01), _distance(s10, e10), _distance(s11, e11)))
+
+        moved0, moved1 = _hamilton(*q0, *fib), _hamilton(*q1, *fib)
+        n2, total = _pair_norms(q0, q1)
+        moved_n2, moved_total = _pair_norms(moved0, moved1)
+        base = _lift(_quotient(q0, q1, n2))
+        moved = _lift(_quotient(moved0, moved1, moved_n2))
+        fiber = _nan_max_columns(tuple(
+            abs(x - y) for x, y in zip(base, moved)))
+
+        # _dyad's guard (_h1's on the pair is the same), then _h1's on the
+        # moved pair, which only a pair off infinity reaches
+        at_infinity = n2 <= EPS_ZERO * EPS_ZERO
+        rejected = ~((abs(total - 1.0) <= EPS_UNIT)
+                     & (at_infinity | (abs(moved_total - 1.0) <= EPS_UNIT)))
+    # q1 = 0 (or q1 * fib): every fiber element maps to the north pole, so
+    # there is nothing to compare
+    at_infinity |= moved_n2 <= EPS_ZERO * EPS_ZERO
+    fiber = np.where(at_infinity, 0.0, fiber)
+    stop = np.flatnonzero(rejected)
+    return (int(stop[0]) if stop.size else len(vec)), projector, fiber
+
+
+def _reduced_vs_oracle(vec: np.ndarray, got: np.ndarray) -> np.ndarray:
     """Each state's deviation for reduced_vs_oracle: the largest entry
     difference between its three 2x2 matrices, whose 12 entries are a row
-    of `got`, and the partial traces A, B and A of the dense |psi><psi|.
-    np.max propagates NaN, so a NaN deviation fails its invariant."""
+    of `got`, and the partial traces A, B and A of the dense |psi><psi|,
+    with the state's amplitudes a row of `vec`.  np.max propagates NaN, so
+    a NaN deviation fails its invariant."""
     import numpy as np
-    vec = np.array([s.amplitudes() for s in states], dtype=complex)
     dense = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
     dense_a = np.trace(dense, axis1=2, axis2=4)
     dense_b = np.trace(dense, axis1=1, axis2=3)
@@ -393,23 +433,47 @@ def _reduced_vs_oracle(states: list[TwoQubitState],
     return np.abs(diff).max(axis=(2, 3)).max(axis=1)
 
 
-# states per block of the check sweep: the dense oracle's arrays grow with
-# the block, so memory stays flat in --count
+def _check_block(states: list[TwoQubitState], fibs: np.ndarray) -> np.ndarray:
+    """Each state's deviation from each of _INVARIANTS, a row each, with the
+    rows of fibs their unit fiber elements.  It raises the error that
+    checking the states one at a time, in order, meets first."""
+    import numpy as np
+    vec = np.array([s.amplitudes() for s in states], dtype=complex)
+    stop, projector, fiber = _quaternion_deviations(vec, fibs)
+    # the states after the first that a guard rejects are never reached,
+    # and the scalar steps of the states up to it come first
+    rows, got = zip(*map(_deviations, states[:stop + 1]))
+    if stop < len(states):
+        # the cores raise that state's NotNormalized, with their message
+        (a, b, g, d), fib = vec[stop].tolist(), fibs[stop].tolist()
+        q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
+        _dyad(q0, q1)
+        _h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib))
+    table = np.empty((len(states), len(_INVARIANTS)))
+    table[:, [0, 1, 4]] = rows
+    table[:, 2] = projector
+    table[:, 3] = _reduced_vs_oracle(vec, np.array(got, dtype=complex))
+    table[:, 5] = fiber
+    return table
+
+
+# states per block of the check sweep: the dense oracle's arrays and the
+# quaternion columns grow with the block, so memory stays flat in --count
 _CHECK_BLOCK = 128
 
 
-def _unit_rows(rows: np.ndarray) -> list[list]:
-    """Each row divided by its norm, as Python numbers.  One norm per row:
-    BLAS sums a whole array in another order.  Each norm is the one that
-    np.linalg.norm(row) returns (numpy >= 1.24 takes these same dot calls
-    for a 1-D row and ord=None, and its sqrt rounds as math.sqrt does), so
-    the rows are bit-identical to it, without its argument handling."""
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm.  One norm per row: BLAS sums a whole
+    array in another order.  Each norm is the one that np.linalg.norm(row)
+    returns (numpy >= 1.24 takes these same dot calls for a 1-D row and
+    ord=None, and its sqrt rounds as math.sqrt does), so the rows are
+    bit-identical to it, without its argument handling."""
     if rows.dtype.kind == "c":
         norms = [[math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))]
                  for row in rows]
     else:
         norms = [[math.sqrt(row.dot(row))] for row in rows]
-    return (rows / norms).tolist()
+    return rows / norms
 
 
 def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
@@ -432,12 +496,10 @@ def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
     for lo in range(0, count, _CHECK_BLOCK):
         block = slice(lo, lo + _CHECK_BLOCK)
         states = [state] if state is not None else [
-            TwoQubitState(*amps)
-            for amps in _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2])]
-        fibs = _unit_rows(rng.normal(size=(len(states), 4)))
-        rows, got = zip(*map(_deviations, states, fibs))
-        table[block, [0, 1, 2, 4, 5]] = rows  # all but reduced_vs_oracle
-        table[block, 3] = _reduced_vs_oracle(states, np.array(got, dtype=complex))
+            TwoQubitState(*amps) for amps
+            in _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2]).tolist()]
+        table[block] = _check_block(
+            states, _unit_rows(rng.normal(size=(len(states), 4))))
     return table
 
 

@@ -112,16 +112,31 @@ def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
 
 def _h1(q0: tuple, q1: tuple) -> tuple[float, float, float, float]:
     """``h1`` on the pair's (w, x, y, z), as Q's (w, x, y, z)."""
-    w0, x0, y0, z0 = q0
-    w1, x1, y1, z1 = q1
-    # the sums of q0.norm_squared() + q1.norm_squared(), in their order
-    n2 = w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1
-    total = (w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0) + n2
+    n2, total = _pair_norms(q0, q1)
     if not (abs(total - 1.0) <= EPS_UNIT):
         raise NotNormalized(f"|q0|^2 + |q1|^2 = {total:.12g}, expected 1")
     if n2 <= EPS_ZERO * EPS_ZERO:
         raise FiberAtInfinity("q1 = 0 maps to the excluded north pole")
-    # (q1 * q0.conjugate()) * (1.0 / n2), without the intermediate objects
+    return _quotient(q0, q1, n2)
+
+
+def _pair_norms(q0: tuple, q1: tuple) -> tuple[float, float]:
+    """|q1|^2 and |q0|^2 + |q1|^2 of the pair's (w, x, y, z): the sums of
+    q0.norm_squared() + q1.norm_squared(), in their order.  Like
+    ``_quotient``, ``_lift`` and ``_hamilton``, it takes numpy float64
+    columns as well as floats, and rounds each of them alike."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
+    n2 = w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1
+    return n2, (w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0) + n2
+
+
+def _quotient(q0: tuple, q1: tuple, n2: float) -> tuple[float, float, float,
+                                                         float]:
+    """``_h1`` past its guards, with n2 = |q1|^2: (q1 * q0.conjugate()) *
+    (1.0 / n2), without the intermediate objects."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
     r = 1.0 / n2
     w, x, y, z = _hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0)
     return w * r, x * r, y * r, z * r

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
-from .hopf import S4Point, _validate
+from .hopf import S4Point, _pair_norms, _validate
 from .quaternion import (
     Quaternion,
     _hamilton,
@@ -197,8 +197,9 @@ _set_e00, _set_e01, _set_e10, _set_e11 = _slot_setters(QuasiDensity)
 
 
 def _matmul(m: tuple, n: tuple) -> tuple:
-    """``QuasiDensity.matmul`` on bare floats: m and n give their entries
-    e00, e01, e10, e11 each as a (w, x, y, z), and so does the result."""
+    """``QuasiDensity.matmul`` on bare floats or numpy float64 columns: m
+    and n give their entries e00, e01, e10, e11 each as a (w, x, y, z), and
+    so does the result."""
     a, b, c, d = m
     e, f, g, h = n
     return (_product_sum(a, e, b, g), _product_sum(a, f, b, h),
@@ -221,13 +222,16 @@ def quasi_density(qs: QuasiState) -> QuasiDensity:
 def _dyad(q0: tuple, q1: tuple) -> tuple:
     """``quasi_density`` on the pair's (w, x, y, z): the entries e00, e01,
     e10, e11, each q_i * q_j.conjugate() as a (w, x, y, z)."""
-    w0, x0, y0, z0 = q0
-    w1, x1, y1, z1 = q1
-    # the sums of qs.norm_squared(), in their order
-    n = ((w0 * w0 + x0 * x0 + y0 * y0 + z0 * z0)
-         + (w1 * w1 + x1 * x1 + y1 * y1 + z1 * z1))
+    n = _pair_norms(q0, q1)[1]  # qs.norm_squared()
     if not (abs(n - 1.0) <= EPS_UNIT):
         raise NotNormalized(f"quasi-state norm^2 {n:.12g} is not 1")
+    return _dyad_entries(q0, q1)
+
+
+def _dyad_entries(q0: tuple, q1: tuple) -> tuple:
+    """``_dyad`` past its guard, on floats or numpy float64 columns alike."""
+    w0, x0, y0, z0 = q0
+    w1, x1, y1, z1 = q1
     return (_hamilton(w0, x0, y0, z0, w0, -x0, -y0, -z0),
             _hamilton(w0, x0, y0, z0, w1, -x1, -y1, -z1),
             _hamilton(w1, x1, y1, z1, w0, -x0, -y0, -z0),

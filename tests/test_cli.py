@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from hopfbloch import (
     FiberAtInfinity,
     GateSpec,
+    HopfBlochError,
+    NotNormalized,
     OffSphere,
     TwoQubitState,
     bell_state,
@@ -32,10 +35,17 @@ from hopfbloch import cli, svg
 from hopfbloch.cli import main
 from hopfbloch.hopf import _h1, _lift
 from hopfbloch.quaternion import _from_complex_pair
-from hopfbloch.state import _reduced_entries
+from hopfbloch.state import (
+    _reduced_entries,
+    _set_alpha,
+    _set_beta,
+    _set_delta,
+    _set_gamma,
+)
 
 from helpers import (
     SQ2,
+    _reference_deviations,
     random_product_states,
     random_states,
     reference_check_table,
@@ -462,7 +472,7 @@ def _nan_last_entry(a, b, c, d):
 NAN_DEVIATIONS = [
     ("phase_aligned_distance", lambda s1, s2: math.nan, "round_trip"),
     ("concurrence", lambda s: (math.nan, 0.0), "concurrence_identity"),
-    ("_dyad",
+    ("_dyad_entries",
      lambda q0, q1: ((0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
                      (0.0, 0.0, 0.0, 0.0), (0.5, math.nan, 0.0, 0.0)),
      "projector"),
@@ -568,6 +578,139 @@ def test_check_table_does_not_depend_on_the_block_size(monkeypatch, block):
     monkeypatch.setattr(cli, "_CHECK_BLOCK", block)
     got = cli._check_table(np.random.default_rng(5), None, 40)
     assert got.tobytes() == want.tobytes()
+
+
+def _raw_state(*amps):
+    """A TwoQubitState that holds amps as given, normalized or not."""
+    s = object.__new__(TwoQubitState)
+    for setter, amp in zip((_set_alpha, _set_beta, _set_gamma, _set_delta),
+                           amps):
+        setter(s, amp)
+    return s
+
+
+def test_check_block_rows_match_the_per_state_reference_in_a_mixed_block():
+    # one block where rows at infinity, whose fiber_invariance the column
+    # mask writes as 0.0, sit beside live rows
+    states = [
+        *(bell_state(code) for code in ("00", "01", "10", "11")),
+        TwoQubitState(1 + 0j, 0j, 0j, 0j), TwoQubitState(0j, 1 + 0j, 0j, 0j),
+        *CHECK_STATES[2:],
+        TwoQubitState(1e-6 + 0j, 0j, 1 + 0j, 0j),
+        *random_states(np.random.default_rng(8), 6),
+        # one ulp past the threshold: |q1|^2 is off infinity, but |q1 * f|^2
+        # is on it for the fiber element f that default_rng(68) draws
+        TwoQubitState(1 + 0j, 0j, complex(math.nextafter(1e-12, 1.0)), 0j),
+    ]
+    raw = np.random.default_rng(9).normal(size=(len(states), 4))
+    raw[-1] = np.random.default_rng(68).normal(size=4)
+    got = cli._check_block(states, cli._unit_rows(raw))
+    assert got[:, 5].tolist().count(0.0) >= 5  # the rows at infinity
+    for row, s, raw_fiber in zip(got, states, raw):
+        want = np.array(_reference_deviations(s, raw_fiber))
+        assert row.tobytes() == want.tobytes(), s
+
+
+def test_check_block_at_infinity_emits_no_warning(capsys):
+    states = [TwoQubitState(1 + 0j, 0j, 0j, 0j), bell_state("00"),
+              *CHECK_STATES[2:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fibs = cli._unit_rows(np.random.default_rng(1).normal(size=(5, 4)))
+        cli._check_block(states, fibs)
+        code = main(["check", "--state=1,0;0,0;1e-12,0;0,0"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_quaternion_guards_stop_at_the_first_rejected_row():
+    vec = np.array([bell_state("00").amplitudes()] * 6, dtype=complex)
+    fibs = cli._unit_rows(np.random.default_rng(2).normal(size=(6, 4)))
+    assert cli._quaternion_deviations(vec, fibs)[0] == 6  # none rejected
+    vec[3] *= 1 + 1e-8  # |q0|^2 + |q1|^2 = 1 + 2e-8
+    vec[4, 0] = math.nan
+    assert cli._quaternion_deviations(vec, fibs)[0] == 3
+    vec[1, 3] = math.nan
+    assert cli._quaternion_deviations(vec, fibs)[0] == 1
+    # the moved pair too, but only where the pair is off infinity
+    vec = np.array([(1, 0, 0, 0), *[bell_state("00").amplitudes()] * 3],
+                   dtype=complex)
+    fibs[:4] *= 2
+    assert cli._quaternion_deviations(vec, fibs[:4])[0] == 1
+
+
+def test_nan_max_columns_is_nan_max_row_by_row():
+    # a NaN of either sign comes out as math.nan itself, as _nan_max gives it
+    columns = (np.array([1.0, math.nan, 0.5, 2.0]),
+               np.array([-math.nan, 3.0, 0.5, 1.0]),
+               np.array([0.0, 1.0, -math.nan, 2.0]))
+    want = [cli._nan_max(row) for row in zip(*(c.tolist() for c in columns))]
+    got = cli._nan_max_columns(columns)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def _first_error(check):
+    with pytest.raises(HopfBlochError) as info:
+        check()
+    return type(info.value), str(info.value)
+
+
+def test_check_block_raises_what_the_per_state_sweep_meets_first(monkeypatch):
+    good, at_infinity = bell_state("00"), TwoQubitState(1 + 0j, 0j, 0j, 0j)
+    off_sphere = _raw_state(complex(math.nan), 0j, 0j, 0j)
+    unit = cli._unit_rows(np.random.default_rng(4).normal(size=(4, 4)))
+
+    def fibs(doubled=(), nan=()):
+        """unit with the rows `doubled` doubled and the rows `nan` NaN."""
+        out = unit.copy()
+        out[list(doubled)] *= 2
+        out[list(nan), 0] = math.nan
+        return out
+
+    # _h1's guard on the moved pair, which only a pair off infinity reaches
+    states = [good, at_infinity, good, good]
+    assert _first_error(lambda: cli._check_block(
+        states, fibs(doubled=(1, 2), nan=(3,)))) == (
+        NotNormalized, "|q0|^2 + |q1|^2 = 4, expected 1")
+    assert _first_error(lambda: cli._check_block(
+        states, fibs(doubled=(1,), nan=(3,)))) == (
+        NotNormalized, "|q0|^2 + |q1|^2 = nan, expected 1")
+    # a state before the rejected one raises first; one after it is never
+    # reached
+    assert _first_error(lambda: cli._check_block(
+        [good, off_sphere, good], fibs(doubled=(2,))[:3])) == (
+        OffSphere, "coordinates off the unit 4-sphere by nan")
+    assert _first_error(lambda: cli._check_block(
+        [good, good, off_sphere], fibs(doubled=(1,))[:3]))[0] is NotNormalized
+    # _dyad's guard, whose state extract rejects first unless stubbed out
+    monkeypatch.setattr(cli, "_deviations", lambda s: ((0.0,) * 3, (0j,) * 12))
+    scaled = _raw_state(*(a * (1 + 1e-8) for a in good.amplitudes()))
+    assert _first_error(lambda: cli._check_block(
+        [good, scaled, off_sphere], unit[:3])) == (
+        NotNormalized, "quasi-state norm^2 1.00000002 is not 1")
+
+
+# tracemalloc peak growth of `check --count` per state between two counts:
+# the (count, 8) draw and the (count, 6) deviation table take 112 bytes a
+# state, and the blocks' arrays and columns do not grow with the count, so
+# one more float64 array as long as the sweep would break the bound
+CHECK_BYTES_PER_STATE = 120
+
+
+def test_check_memory_grows_only_with_its_two_tables(monkeypatch):
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    counts, peaks = (2000, 6000), []
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["check", "--count", "10"])  # the parser and numpy, loaded once
+        for count in counts:
+            tracemalloc.start()
+            try:
+                assert main(["check", "--count", str(count)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    growth = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+    assert growth < CHECK_BYTES_PER_STATE, f"{growth:.1f} bytes a state"
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

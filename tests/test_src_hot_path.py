@@ -1,8 +1,8 @@
 """The per-sample path of ``trajectory`` and of the ``traj`` writers, and
-the per-state path of the ``check`` command, call no builtin min or max and
-look up no Enum member by attribute: on Python 3.11 each of those runs as
-Python code (the builtin call's argument handling, EnumType.__getattr__)
-where a comparison or a module-level name runs in C."""
+the per-state and per-block paths of the ``check`` command, call no
+builtin min or max and look up no Enum member by attribute: on Python 3.11
+each of those runs as Python code (the builtin call's argument handling,
+EnumType.__getattr__) where a comparison or a module-level name runs in C."""
 
 import ast
 from pathlib import Path
@@ -12,14 +12,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
 HOT = {
     "quaternion": ("_wrapped_distance", "_hamilton", "_from_complex_pair"),
     "hopf": ("_base_angles", "h1", "inverse_stereographic", "_h1", "_lift",
-             "_base_point"),
+             "_base_point", "_pair_norms", "_quotient"),
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
-              "_projection_entries", "_dyad", "_matmul"),
+              "_projection_entries", "_dyad", "_dyad_entries", "_matmul"),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
-    "cli": ("_deviations", "_distance", "_nan_max", "_num", "_sample_numbers",
-            "_sample_json", "_traj_json", "_traj_csv", "_traj_svg"),
+    "cli": ("_deviations", "_distance", "_nan_max", "_nan_max_columns",
+            "_quaternion_deviations", "_check_block", "_num",
+            "_sample_numbers", "_sample_json", "_traj_json", "_traj_csv",
+            "_traj_svg"),
 }
 BUILTINS = {"min", "max"}
 ENUMS = {"CoordFlag", "GateKind", "Stage"}
