@@ -69,6 +69,14 @@ if [ "$numpy" = 1 ]; then
     "$@" check "--state=1,0;0,0;1.1e-12,0;0,0" > "$out/check-past-infinity.out"
     tail -n 1 "$out/check-past-infinity.out" | grep '^checked 1 state(s), '
 
+    # real amplitudes with a minus sign, which Python multiplies as floats
+    # and the block's columns as complex numbers, and a product state at
+    # infinity, whose t and xi are flagged
+    "$@" check --bell 10 > "$out/check-bell-10.out"
+    tail -n 1 "$out/check-bell-10.out" | grep '^checked 1 state(s), '
+    "$@" check "--state=0.6,0;0.8,0;0,0;0,0" > "$out/check-product.out"
+    tail -n 1 "$out/check-product.out" | grep '^checked 1 state(s), '
+
     # a full block of 128 states and a block of one, whose columns hold one
     # entry each
     "$@" check --count 129 > "$out/check-129.out"

@@ -37,17 +37,25 @@ from .errors import (
     UnknownGate,
 )
 from .gates import GateSpec, TrajectorySample, _samples
-from .hopf import _base_point, _h1, _lift, _pair_norms, _quotient
+from .hopf import (
+    _base_point,
+    _h1,
+    _lift,
+    _pair_norms,
+    _quotient,
+    _validate,
+)
 from .quaternion import _from_complex_pair, _hamilton, _sphere_point, angle_distance
 from .state import (
     TwoQubitState,
+    _complex_product,
+    _concurrence_columns,
     _dyad,
     _dyad_entries,
     _matmul,
-    _projection_entries,
-    _reduced_entries,
+    _projection_parts,
+    _reduced_columns,
     bell_state,
-    concurrence,
     phase_aligned_distance,
 )
 from .tolerances import EPS_NUM, EPS_UNIT, EPS_ZERO
@@ -307,21 +315,10 @@ _INVARIANTS = ("round_trip", "concurrence_identity", "projector",
                "reduced_vs_oracle", "ball_identity", "fiber_invariance")
 
 
-def _nan_max(values: tuple[float, ...]) -> float:
-    """max that returns NaN when any value is NaN (the builtin can drop it).
-    Otherwise it keeps the first of equal values, as max does."""
-    top = values[0]
-    for value in values:
-        if value > top:
-            top = value
-        elif value != value:
-            return math.nan
-    return top
-
-
 def _nan_max_columns(columns: tuple) -> np.ndarray:
-    """_nan_max row by row over numpy columns of values that are never -0.0:
-    math.nan itself wherever a column holds a NaN, as _nan_max returns it."""
+    """The row-by-row max over numpy columns of values that are never -0.0,
+    but math.nan itself wherever a column holds a NaN (the builtin max can
+    drop one)."""
     import numpy as np
     top = functools.reduce(np.maximum, columns)  # np.maximum keeps NaN
     return np.where(top != top, math.nan, top)
@@ -337,36 +334,29 @@ def _distance(p: tuple, q: tuple) -> np.ndarray:
     return np.sqrt(w * w + x * x + y * y + z * z)
 
 
-def _deviations(s: TwoQubitState) -> tuple[tuple, tuple]:
-    """The state's deviation from round_trip, concurrence_identity and
-    ball_identity, and the 12 entries of the three 2x2 matrices that
-    _check_block compares with its dense oracle for reduced_vs_oracle, row
-    by row.  These steps stay on Python floats, a state at a time: extract,
-    reconstruct and phase_aligned_distance branch per state, and numpy
-    rounds its hypot and ** apart from math.hypot and Python's ** (in 1,125
-    and 162 of 200,000 normal draws).  Past extract and reconstruct, it
-    runs on the float cores that the public objects wrap, so it checks
-    their numbers bit for bit."""
+def _scalar_steps(s: TwoQubitState) -> tuple:
+    """The steps of a state's check that stay on Python floats, a state at
+    a time.  extract, reconstruct and phase_aligned_distance branch per
+    state.  The base point's sin and cos, the xi claim's cmath.exp and
+    ball_identity's math.hypot are not numpy's: numpy rounds its arctan2
+    and angle apart from math.atan2 and cmath.phase in about 7% of normal
+    draws, and its hypot apart from math.hypot.  The sphere guard of
+    partial_trace_projection runs here so that it raises in sweep order.
+
+    It returns round_trip and ball_identity, the coordinates' concurrence,
+    whether xi is defined, e^(k(xi - pi/2)) as its real and imaginary parts
+    (0.0 where xi is flagged), and the base point's x0, x1 and x4: a row of
+    the columns that _check_block takes."""
     coords = extract(s)
     round_trip = phase_aligned_distance(s, reconstruct(coords))
-
-    a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
-    c, _ = concurrence(s)
-    conc = abs(c - coords.concurrence)
-    if _XI_UNDEFINED not in coords.flags:
-        claim = c * cmath.exp(1j * (coords.xi - 0.5 * math.pi))
-        det2 = 2.0 * (a * d - b * g)
-        conc = _nan_max((conc, abs(claim - det2)))
-
-    # the reduced density matrices of qubits A and B, and the projection of
-    # the base point, which the oracle compares with A's
+    defined = _XI_UNDEFINED not in coords.flags
+    e = cmath.exp(1j * (coords.xi - 0.5 * math.pi)) if defined else 0j
     p = _base_point(coords.theta_a, coords.phi_a, coords.chi, coords.xi)
-    reduced = (*_reduced_entries(a, b, g, d), *_reduced_entries(a, g, b, d),
-               *_projection_entries(p))
-
+    _validate(*p)
     x0, x1, x2, x3, x4 = p
     ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
-    return (round_trip, conc, ball), reduced
+    return (round_trip, ball, coords.concurrence, defined, e.real, e.imag,
+            x0, x1, x4)
 
 
 def _quaternion_deviations(vec: np.ndarray,
@@ -418,13 +408,41 @@ def _quaternion_deviations(vec: np.ndarray,
     return (int(stop[0]) if stop.size else len(vec)), projector, fiber
 
 
-def _reduced_vs_oracle(vec: np.ndarray, got: np.ndarray) -> np.ndarray:
-    """Each state's deviation for reduced_vs_oracle: the largest entry
-    difference between its three 2x2 matrices, whose 12 entries are a row
-    of `got`, and the partial traces A, B and A of the dense |psi><psi|,
-    with the state's amplitudes a row of `vec`.  np.max propagates NaN, so
-    a NaN deviation fails its invariant."""
+def _concurrence_identity(vec: np.ndarray, concurrence: np.ndarray,
+                          defined: np.ndarray, e_re: np.ndarray,
+                          e_im: np.ndarray) -> np.ndarray:
+    """Each state's concurrence_identity deviation, with its amplitudes a
+    row of `vec` and its coordinates' concurrence, whether xi is defined and
+    e^(k(xi - pi/2)) an entry of the columns: |C - concurrence| with
+    C = 2|det| and det = alpha delta - beta gamma, and where xi is defined
+    the larger of that and |C e^(k(xi - pi/2)) - 2 det|."""
     import numpy as np
+    c, det_re, det_im = _concurrence_columns(*vec.T)
+    conc = abs(c - concurrence)
+    # C * e and 2.0 * det: a float times a complex
+    claim_re, claim_im = _complex_product(c, 0.0, e_re, e_im)
+    det2_re, det2_im = _complex_product(2.0, 0.0, det_re, det_im)
+    claim = np.hypot(claim_re - det2_re, claim_im - det2_im)
+    return np.where(defined, _nan_max_columns((conc, claim)), conc)
+
+
+def _reduced_vs_oracle(vec: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+                       x4: np.ndarray) -> np.ndarray:
+    """Each state's deviation for reduced_vs_oracle: the largest entry
+    difference between its reduced density matrices of qubits A and B and
+    the projection of its base point's x0, x1, x4, and the partial traces
+    A, B and A of the dense |psi><psi|, with the state's amplitudes a row
+    of `vec`.  np.max propagates NaN, so a NaN deviation fails its
+    invariant."""
+    import numpy as np
+    a, b, g, d = vec.T
+    got = np.empty((len(vec), 12), dtype=complex)
+    got_re, got_im = got.real, got.imag
+    entries = (*_reduced_columns(a, b, g, d), *_reduced_columns(a, g, b, d),
+               *_projection_parts(x0, x1, x4))
+    for k, (re, im) in enumerate(entries):
+        got_re[:, k] = re
+        got_im[:, k] = im
     dense = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
     dense_a = np.trace(dense, axis1=2, axis2=4)
     dense_b = np.trace(dense, axis1=1, axis2=3)
@@ -436,23 +454,35 @@ def _reduced_vs_oracle(vec: np.ndarray, got: np.ndarray) -> np.ndarray:
 def _check_block(states: list[TwoQubitState], fibs: np.ndarray) -> np.ndarray:
     """Each state's deviation from each of _INVARIANTS, a row each, with the
     rows of fibs their unit fiber elements.  It raises the error that
-    checking the states one at a time, in order, meets first."""
+    checking the states one at a time, in order, meets first.
+
+    Past _scalar_steps, every invariant runs once per block on numpy
+    columns, an entry per state.  Each column step is an operation that
+    the per-state formula takes on that state's numbers, with numpy
+    rounding it as Python does (a complex product written out in real
+    parts, np.hypot for the complex abs, np.float_power for ** 2), so each
+    row is bit for bit that formula's."""
     import numpy as np
     vec = np.array([s.amplitudes() for s in states], dtype=complex)
     stop, projector, fiber = _quaternion_deviations(vec, fibs)
     # the states after the first that a guard rejects are never reached,
     # and the scalar steps of the states up to it come first
-    rows, got = zip(*map(_deviations, states[:stop + 1]))
+    steps = [_scalar_steps(s) for s in states[:stop + 1]]
     if stop < len(states):
         # the cores raise that state's NotNormalized, with their message
         (a, b, g, d), fib = vec[stop].tolist(), fibs[stop].tolist()
         q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
         _dyad(q0, q1)
         _h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib))
+    (round_trip, ball, concurrence, defined, e_re, e_im,
+     x0, x1, x4) = np.array(steps).T
     table = np.empty((len(states), len(_INVARIANTS)))
-    table[:, [0, 1, 4]] = rows
+    table[:, 0] = round_trip
+    table[:, 1] = _concurrence_identity(vec, concurrence, defined != 0.0,
+                                        e_re, e_im)
     table[:, 2] = projector
-    table[:, 3] = _reduced_vs_oracle(vec, np.array(got, dtype=complex))
+    table[:, 3] = _reduced_vs_oracle(vec, x0, x1, x4)
+    table[:, 4] = ball
     table[:, 5] = fiber
     return table
 
@@ -463,17 +493,21 @@ _CHECK_BLOCK = 128
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row divided by its norm.  One norm per row: BLAS sums a whole
-    array in another order.  Each norm is the one that np.linalg.norm(row)
-    returns (numpy >= 1.24 takes these same dot calls for a 1-D row and
-    ord=None, and its sqrt rounds as math.sqrt does), so the rows are
-    bit-identical to it, without its argument handling."""
+    """Each row divided by its norm, bit-identical to row /
+    np.linalg.norm(row).  For a 1-D row and ord=None, numpy >= 1.24 takes
+    that norm as sqrt(row.dot(row)), or for a complex row
+    sqrt(row.real.dot(row.real) + row.imag.dot(row.imag)), and its sqrt
+    rounds as math.sqrt does.  A stacked matmul of (n, 1, 4) by (n, 4, 1)
+    makes the same BLAS dot call for each row, on the same strided views:
+    copies at unit stride would take another OpenBLAS kernel, which sums in
+    another order, and so would one dot over the whole array."""
+    import numpy as np
     if rows.dtype.kind == "c":
-        norms = [[math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))]
-                 for row in rows]
+        re, im = rows.real, rows.imag
+        n2 = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     else:
-        norms = [[math.sqrt(row.dot(row))] for row in rows]
-    return rows / norms
+        n2 = rows[:, None, :] @ rows[:, :, None]
+    return rows / np.sqrt(n2[:, 0])
 
 
 def _check_table(rng: np.random.Generator, state: TwoQubitState | None,

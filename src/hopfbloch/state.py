@@ -17,7 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NotNormalized
-from .hopf import S4Point, _pair_norms, _validate
+from .hopf import S4Point, _pair_norms
 from .quaternion import (
     Quaternion,
     _hamilton,
@@ -250,10 +250,47 @@ def reduced_density(s: TwoQubitState, keep: Basis = Basis.A) -> np.ndarray:
 def _reduced_entries(a: complex, b: complex, c: complex,
                      d: complex) -> tuple[float, complex, complex, float]:
     """The entries of ``reduced_density``, row by row, as Python numbers:
-    a, b are the amplitudes with the kept qubit in |0>, c, d in |1>."""
+    a, b are the amplitudes with the kept qubit in |0>, c, d in |1>.
+    ``_reduced_columns`` is its column form; they are two because Python
+    multiplies real amplitudes as floats, whose zero imaginary parts come out
+    +0.0 where the complex product can round them to -0.0."""
     off = a * c.conjugate() + b * d.conjugate()
     return (abs(a) ** 2 + abs(b) ** 2, off, off.conjugate(),
             abs(c) ** 2 + abs(d) ** 2)
+
+
+def _reduced_columns(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     d: np.ndarray) -> tuple:
+    """``_reduced_entries`` on numpy complex columns, each entry as its
+    (real, imag) float64 columns: bit for bit what _reduced_entries gives on
+    complex amplitudes, and on real ones but for the sign of a zero
+    imaginary part."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    p_re, p_im = _complex_product(ar, ai, cr, -ci)  # a * c.conjugate()
+    q_re, q_im = _complex_product(br, bi, dr, -di)
+    re, im = p_re + q_re, p_im + q_im
+    return ((_squared_modulus(ar, ai) + _squared_modulus(br, bi), 0.0),
+            (re, im), (re, -im),
+            (_squared_modulus(cr, ci) + _squared_modulus(dr, di), 0.0))
+
+
+def _complex_product(ar: float, ai: float, br: float,
+                     bi: float) -> tuple[float, float]:
+    """The (real, imag) of (ar + ai*1j) * (br + bi*1j) by CPython's formula,
+    on floats or numpy float64 columns alike, so each part rounds as
+    Python's complex product rounds it.  Before Python 3.14, a float times a
+    complex is this product with the float's imaginary part 0.0."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _squared_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """abs(z) ** 2 on numpy float64 columns of z's parts.  np.hypot rounds
+    as the complex abs does (both call libm's hypot), and np.float_power(x,
+    2.0) as Python's x ** 2 (libm's pow); x * x and np.power round apart
+    from it.  Where x ** 2 overflows and raises, this gives inf."""
+    import numpy as np
+    return np.float_power(np.hypot(re, im), 2.0)
 
 
 def concurrence(s: TwoQubitState) -> tuple[float, float]:
@@ -266,6 +303,20 @@ def concurrence(s: TwoQubitState) -> tuple[float, float]:
     return 2.0 * abs(det), wrap_angle(cmath.phase(det))
 
 
+def _concurrence_columns(a: np.ndarray, b: np.ndarray, g: np.ndarray,
+                         d: np.ndarray) -> tuple:
+    """``concurrence``'s first value on numpy complex columns of the
+    amplitudes, with the determinant it takes: (c, det_re, det_im), bit for
+    bit what concurrence and alpha*delta - beta*gamma give on complex
+    amplitudes, and on real ones but for the sign of a zero part.  The
+    phase is left out: check has no use for it."""
+    import numpy as np
+    ad_re, ad_im = _complex_product(a.real, a.imag, d.real, d.imag)
+    bg_re, bg_im = _complex_product(b.real, b.imag, g.real, g.imag)
+    re, im = ad_re - bg_re, ad_im - bg_im
+    return 2.0 * np.hypot(re, im), re, im
+
+
 def partial_trace_projection(p: S4Point) -> np.ndarray:
     """Reduced density matrix read straight off an S^4 base point.
 
@@ -276,19 +327,18 @@ def partial_trace_projection(p: S4Point) -> np.ndarray:
     ball of radius sqrt(1 - c^2).
     """
     import numpy as np
-    point = p.x0, p.x1, p.x2, p.x3, p.x4
-    return np.array(_projection_entries(point), dtype=complex).reshape(2, 2)
+    p.validate()
+    parts = _projection_parts(p.x0, p.x1, p.x4)
+    return np.array([complex(re, im) for re, im in parts],
+                    dtype=complex).reshape(2, 2)
 
 
-def _projection_entries(p: tuple) -> tuple[float, complex, complex, float]:
-    """The entries of ``partial_trace_projection`` at the base point's
-    (x0, x1, x2, x3, x4), row by row, as Python numbers: each entry times
-    0.5 + 0j, the complex product that numpy forms for 0.5 * array.  On the
-    diagonal, whose imaginary part is 0.0, that product is
-    (0.5 * (1 +- x0), 0.0) for every finite x0, and the sphere check lets
-    no other through."""
-    _validate(*p)
-    x0, x1, _, _, x4 = p
-    off = complex(x1, -x4)
-    return (0.5 * (1.0 + x0), (0.5 + 0j) * off, (0.5 + 0j) * off.conjugate(),
-            0.5 * (1.0 - x0))
+def _projection_parts(x0: float, x1: float, x4: float) -> tuple:
+    """The entries of ``partial_trace_projection`` at a base point's x0, x1
+    and x4, row by row, each as its (real, imag), on floats or numpy float64
+    columns alike: each entry times 0.5 + 0j, the complex product that numpy
+    forms for 0.5 * array.  On the diagonal, whose imaginary part is 0.0,
+    that product is (0.5 * (1 +- x0), 0.0) for every finite x0, and the
+    sphere check lets no other through."""
+    return ((0.5 * (1.0 + x0), 0.0), _complex_product(0.5, 0.0, x1, -x4),
+            _complex_product(0.5, 0.0, x1, x4), (0.5 * (1.0 - x0), 0.0))

@@ -294,8 +294,9 @@ def reference_h1(q0: Quaternion, q1: Quaternion) -> Quaternion:
 
 def numpy_reduced_density(s: TwoQubitState, keep: Basis) -> np.ndarray:
     """The reduced density formula built as one numpy array.  It shares no
-    code with ``state._reduced_entries``, which ``reduced_density`` and
-    ``check`` read, so it can stand as their oracle."""
+    code with ``state._reduced_entries``, which ``reduced_density`` reads,
+    or its column form ``state._reduced_columns``, which ``check`` reads,
+    so it can stand as their oracle."""
     a, b, c, d = s.amplitudes()
     if keep is Basis.B:
         b, c = c, b
@@ -307,7 +308,7 @@ def numpy_reduced_density(s: TwoQubitState, keep: Basis) -> np.ndarray:
 
 def numpy_projection(p: S4Point) -> np.ndarray:
     """The S^4 projection formula as one numpy array, scaled by numpy; the
-    oracle of ``state._projection_entries``."""
+    oracle of ``state._projection_parts``."""
     p.validate()
     off = complex(p.x1, -p.x4)
     return 0.5 * np.array([[1.0 + p.x0, off],

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfbloch import (
+    CoordFlag,
     FiberAtInfinity,
     GateSpec,
     HopfBlochError,
@@ -26,6 +27,7 @@ from hopfbloch import (
     OffSphere,
     TwoQubitState,
     bell_state,
+    extract,
     h1,
     phase_aligned_distance,
     quasi_state,
@@ -36,7 +38,7 @@ from hopfbloch.cli import main
 from hopfbloch.hopf import _h1, _lift
 from hopfbloch.quaternion import _from_complex_pair
 from hopfbloch.state import (
-    _reduced_entries,
+    _reduced_columns,
     _set_alpha,
     _set_beta,
     _set_delta,
@@ -45,6 +47,7 @@ from hopfbloch.state import (
 
 from helpers import (
     SQ2,
+    _nan_max,
     _reference_deviations,
     random_product_states,
     random_states,
@@ -462,8 +465,8 @@ def _nan_x4(q):
 
 
 def _nan_last_entry(a, b, c, d):
-    """state._reduced_entries with its last entry NaN."""
-    return (*_reduced_entries(a, b, c, d)[:3], complex(math.nan))
+    """state._reduced_columns with its last entry NaN."""
+    return (*_reduced_columns(a, b, c, d)[:3], (math.nan, 0.0))
 
 
 # (cli global to replace, its replacement, the invariant that must FAIL);
@@ -471,12 +474,13 @@ def _nan_last_entry(a, b, c, d):
 # finite value of the same state, where the builtin max would drop them
 NAN_DEVIATIONS = [
     ("phase_aligned_distance", lambda s1, s2: math.nan, "round_trip"),
-    ("concurrence", lambda s: (math.nan, 0.0), "concurrence_identity"),
+    ("_concurrence_columns", lambda a, b, g, d: (math.nan, 0.0, 0.0),
+     "concurrence_identity"),
     ("_dyad_entries",
      lambda q0, q1: ((0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
                      (0.0, 0.0, 0.0, 0.0), (0.5, math.nan, 0.0, 0.0)),
      "projector"),
-    ("_projection_entries", lambda p: (complex(math.nan),) * 4,
+    ("_projection_parts", lambda x0, x1, x4: ((math.nan, 0.0),) * 4,
      "reduced_vs_oracle"),
     ("_lift", _nan_x4, "fiber_invariance"),
 ]
@@ -484,7 +488,7 @@ NAN_DEVIATIONS = [
 
 @pytest.mark.parametrize("target, stub, invariant", [
     *(pytest.param(*case, id=case[2]) for case in NAN_DEVIATIONS),
-    pytest.param("_reduced_entries", _nan_last_entry, "reduced_vs_oracle",
+    pytest.param("_reduced_columns", _nan_last_entry, "reduced_vs_oracle",
                  id="reduced_vs_oracle_reduced_density"),
 ])
 def test_check_nan_deviation_fails_its_invariant(capsys, monkeypatch, target,
@@ -591,13 +595,24 @@ def _raw_state(*amps):
 
 def test_check_block_rows_match_the_per_state_reference_in_a_mixed_block():
     # one block where rows at infinity, whose fiber_invariance the column
-    # mask writes as 0.0, sit beside live rows
+    # mask writes as 0.0, and rows where xi is flagged, whose
+    # concurrence_identity leaves out the xi claim, sit beside live rows
     states = [
         *(bell_state(code) for code in ("00", "01", "10", "11")),
         TwoQubitState(1 + 0j, 0j, 0j, 0j), TwoQubitState(0j, 1 + 0j, 0j, 0j),
         *CHECK_STATES[2:],
         TwoQubitState(1e-6 + 0j, 0j, 1 + 0j, 0j),
         *random_states(np.random.default_rng(8), 6),
+        # xi flagged: a product state at infinity (t flagged too), t = k,
+        # and t = k with a concurrence of 1.2e-13, where the claim would
+        # differ; then t flagged with a concurrence of 3.6e-13
+        TwoQubitState(0.6, 0.8, 0, 0), TwoQubitState(0.6, 0, 0.8j, 0),
+        TwoQubitState(0.6 + 0j, 0j, 0.8j, 1e-13 + 0j),
+        TwoQubitState(0.6 + 0j, 0j, 0.8 + 0j, 3e-13 + 0j),
+        # int amplitudes, and real ones (bell_state("10") above too), which
+        # Python multiplies as floats and the columns as complex numbers
+        TwoQubitState(1, 0, 0, 0), TwoQubitState(0, 1, 0, 0),
+        TwoQubitState(-0.6, 0.0, 0.0, -0.8),
         # one ulp past the threshold: |q1|^2 is off infinity, but |q1 * f|^2
         # is on it for the fiber element f that default_rng(68) draws
         TwoQubitState(1 + 0j, 0j, complex(math.nextafter(1e-12, 1.0)), 0j),
@@ -606,6 +621,8 @@ def test_check_block_rows_match_the_per_state_reference_in_a_mixed_block():
     raw[-1] = np.random.default_rng(68).normal(size=4)
     got = cli._check_block(states, cli._unit_rows(raw))
     assert got[:, 5].tolist().count(0.0) >= 5  # the rows at infinity
+    assert [CoordFlag.XI_UNDEFINED in extract(s).flags
+            for s in states].count(True) >= 8
     for row, s, raw_fiber in zip(got, states, raw):
         want = np.array(_reference_deviations(s, raw_fiber))
         assert row.tobytes() == want.tobytes(), s
@@ -644,9 +661,21 @@ def test_nan_max_columns_is_nan_max_row_by_row():
     columns = (np.array([1.0, math.nan, 0.5, 2.0]),
                np.array([-math.nan, 3.0, 0.5, 1.0]),
                np.array([0.0, 1.0, -math.nan, 2.0]))
-    want = [cli._nan_max(row) for row in zip(*(c.tolist() for c in columns))]
+    want = [_nan_max(row) for row in zip(*(c.tolist() for c in columns))]
     got = cli._nan_max_columns(columns)
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+def test_unit_rows_are_each_row_over_its_norm_bit_for_bit(n):
+    # complex rows as _check_table builds them, strided views of a draw,
+    # and real rows as it draws the fiber elements
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        raw = rng.normal(size=(n, 8))
+        for rows in (raw[:, 0::2] + 1j * raw[:, 1::2], rng.normal(size=(n, 4))):
+            want = np.array([row / np.linalg.norm(row) for row in rows])
+            assert cli._unit_rows(rows).tobytes() == want.tobytes()
 
 
 def _first_error(check):
@@ -683,7 +712,7 @@ def test_check_block_raises_what_the_per_state_sweep_meets_first(monkeypatch):
     assert _first_error(lambda: cli._check_block(
         [good, good, off_sphere], fibs(doubled=(1,))[:3]))[0] is NotNormalized
     # _dyad's guard, whose state extract rejects first unless stubbed out
-    monkeypatch.setattr(cli, "_deviations", lambda s: ((0.0,) * 3, (0j,) * 12))
+    monkeypatch.setattr(cli, "_scalar_steps", lambda s: (0.0,) * 9)
     scaled = _raw_state(*(a * (1 + 1e-8) for a in good.amplitudes()))
     assert _first_error(lambda: cli._check_block(
         [good, scaled, off_sphere], unit[:3])) == (

@@ -14,12 +14,15 @@ HOT = {
     "hopf": ("_base_angles", "h1", "inverse_stereographic", "_h1", "_lift",
              "_base_point", "_pair_norms", "_quotient"),
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
-              "_projection_entries", "_dyad", "_dyad_entries", "_matmul"),
+              "_reduced_columns", "_complex_product", "_squared_modulus",
+              "_concurrence_columns", "_projection_parts", "_dyad",
+              "_dyad_entries", "_matmul"),
     "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
-    "cli": ("_deviations", "_distance", "_nan_max", "_nan_max_columns",
-            "_quaternion_deviations", "_check_block", "_num",
+    "cli": ("_scalar_steps", "_distance", "_nan_max_columns",
+            "_quaternion_deviations", "_concurrence_identity",
+            "_reduced_vs_oracle", "_check_block", "_unit_rows", "_num",
             "_sample_numbers", "_sample_json", "_traj_json", "_traj_csv",
             "_traj_svg"),
 }

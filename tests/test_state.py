@@ -30,7 +30,13 @@ from hopfbloch import (
     reduced_density,
 )
 from hopfbloch.quaternion import angle_distance
-from hopfbloch.state import _projection_entries, _reduced_entries
+from hopfbloch.state import (
+    _complex_product,
+    _projection_parts,
+    _reduced_columns,
+    _reduced_entries,
+    _squared_modulus,
+)
 
 from helpers import (
     ONE,
@@ -432,6 +438,16 @@ def _has_negative_zero(m: np.ndarray) -> bool:
     return bool(np.any((parts == 0.0) & np.signbit(parts)))
 
 
+def _column_matrices(entries, count: int) -> np.ndarray:
+    """The (count, 2, 2) complex matrices of column-form entries, each a
+    (real, imag) pair of float64 columns or floats, row by row."""
+    out = np.empty((count, 4), dtype=complex)
+    for k, (re, im) in enumerate(entries):
+        out.real[:, k] = re
+        out.imag[:, k] = im
+    return out.reshape(count, 2, 2)
+
+
 def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
     # tobytes compares signed zeros too
     rng = np.random.default_rng(31)
@@ -440,7 +456,13 @@ def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
               + [TwoQubitState(*np.eye(4)[k]) for k in range(4)]
               + list(_signed_zero_states(rng, 200)))
     negative_zeros = {"reduced": 0, "projection": 0}
-    for s in states:
+    # the column forms that check takes, on every state at once
+    a, b, c, d = np.array([s.amplitudes() for s in states], dtype=complex).T
+    columns = {Basis.A: _column_matrices(_reduced_columns(a, b, c, d),
+                                         len(states)),
+               Basis.B: _column_matrices(_reduced_columns(a, c, b, d),
+                                         len(states))}
+    for i, s in enumerate(states):
         a, b, c, d = s.amplitudes()
         for keep, entries in ((Basis.A, _reduced_entries(a, b, c, d)),
                               (Basis.B, _reduced_entries(a, c, b, d))):
@@ -449,16 +471,62 @@ def test_entry_helpers_are_the_numpy_matrices_bit_for_bit():
             assert (np.array(entries, dtype=complex).reshape(2, 2).tobytes()
                     == got.tobytes()), (s, keep)
             negative_zeros["reduced"] += _has_negative_zero(got)
-    for p in [*_base_points(states), *_signed_zero_points()]:
+            # Python multiplies real amplitudes as floats, whose zero
+            # imaginary parts the complex product can round to -0.0
+            column = columns[keep][i]
+            if all(type(amp) is complex for amp in s.amplitudes()):
+                assert column.tobytes() == got.tobytes(), (s, keep)
+            else:
+                assert np.array_equal(column, got), (s, keep)
+    points = [*_base_points(states), *_signed_zero_points()]
+    x0, x1, x4 = np.array([(p.x0, p.x1, p.x4) for p in points]).T
+    columns = _column_matrices(_projection_parts(x0, x1, x4), len(points))
+    for p, column in zip(points, columns):
         got = partial_trace_projection(p)
         assert got.tobytes() == numpy_projection(p).tobytes(), p
-        entries = _projection_entries((p.x0, p.x1, p.x2, p.x3, p.x4))
-        assert (np.array(entries, dtype=complex).reshape(2, 2).tobytes()
-                == got.tobytes()), p
+        assert column.tobytes() == got.tobytes(), p
         negative_zeros["projection"] += _has_negative_zero(got)
     # enough outputs carry a -0.0 for the signs to be compared
     assert negative_zeros["reduced"] >= 400
     assert negative_zeros["projection"] >= 40
+
+
+# parts of the complex numbers that pin the column primitives: signed zeros,
+# subnormals, values whose products overflow, infinities and NaN
+SPECIAL_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -0.5, 1e160,
+                 1e300, -1e300, math.inf, -math.inf, math.nan)
+SPECIAL_COMPLEX = [complex(re, im) for re in SPECIAL_PARTS
+                   for im in SPECIAL_PARTS]
+
+
+def test_column_complex_product_is_pythons_bit_for_bit():
+    pairs = list(itertools.product(SPECIAL_COMPLEX, repeat=2))
+    a = np.array([p for p, _ in pairs])
+    b = np.array([q for _, q in pairs])
+    with np.errstate(all="ignore"):
+        re, im = _complex_product(a.real, a.imag, b.real, -b.imag)
+    got = np.empty(len(pairs), dtype=complex)
+    got.real, got.imag = re, im
+    want = np.array([p * q.conjugate() for p, q in pairs])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_column_squared_modulus_is_pythons_bit_for_bit():
+    # every abs before any **: CPython 3.11's abs of a complex with a NaN
+    # part returns NaN but leaves C's errno as it was, so after a ** that
+    # overflowed it would raise OverflowError
+    moduli = [abs(z) for z in SPECIAL_COMPLEX]
+    want = []
+    for modulus in moduli:
+        try:
+            want.append(modulus ** 2)
+        except OverflowError:
+            want.append(math.inf)  # where Python raises, numpy gives inf
+    assert math.inf in want and any(map(math.isnan, moduli))
+    z = np.array(SPECIAL_COMPLEX)
+    with np.errstate(all="ignore"):
+        got = _squared_modulus(z.real, z.imag)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_non_finite_amplitudes_rejected():
