@@ -77,10 +77,10 @@ if [ "$numpy" = 1 ]; then
     "$@" check "--state=0.6,0;0.8,0;0,0;0,0" > "$out/check-product.out"
     tail -n 1 "$out/check-product.out" | grep '^checked 1 state(s), '
 
-    # a full block of 128 states and a block of one, whose columns hold one
+    # a full block of 512 states and a block of one, whose columns hold one
     # entry each
-    "$@" check --count 129 > "$out/check-129.out"
-    tail -n 1 "$out/check-129.out" | grep '^checked 129 state(s), '
+    "$@" check --count 513 > "$out/check-513.out"
+    tail -n 1 "$out/check-513.out" | grep '^checked 513 state(s), '
 fi
 
 # Library example

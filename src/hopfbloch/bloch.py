@@ -78,11 +78,16 @@ class BlochCoordinates:
 
     @property
     def concurrence(self) -> float:
-        return abs(self.b * math.sin(self.chi))
+        return _concurrence(self.theta_a, self.phi_a, self.chi)
 
     @property
     def s4_point(self) -> S4Point:
         return base_from_angles(self.theta_a, self.phi_a, self.chi, self.xi)
+
+
+def _concurrence(theta_a: float, phi_a: float, chi: float) -> float:
+    """``BlochCoordinates.concurrence``, |b sin(chi)|, on the angles."""
+    return abs(math.sin(theta_a) * math.sin(phi_a) * math.sin(chi))
 
 
 (_set_theta_a, _set_phi_a, _set_chi, _set_xi, _set_theta_b, _set_phi_b,
@@ -119,30 +124,23 @@ def south_pole_coords(exc: SouthPoleA) -> BlochCoordinates:
                             frozenset(_SOUTH_POLE_FLAGS + fiber_flags))
 
 
-def _base_coords(a: complex, b: complex, g: complex,
-                 d: complex) -> tuple[float, float, float, float, float]:
-    """The five base coordinates from the amplitude bilinears.
+def _extract(a: complex, b: complex, g: complex, d: complex) -> tuple:
+    """``extract`` on the amplitudes: (theta_a, phi_a, chi, xi, theta_b,
+    phi_b, zeta_b, flags), with flags a tuple of CoordFlag.
 
-    Raises SouthPoleA only for |1>_A (x) |psi_B>, alpha = beta = 0 exactly.
+    The base point comes from the amplitude bilinears, and each amplitude's
+    modulus is taken once, for both x0 and cos/sin(theta_a/2).  Raises
+    SouthPoleA only for |1>_A (x) |psi_B>, alpha = beta = 0 exactly.
     """
+    ma, mb, mg, md = abs(a), abs(b), abs(g), abs(d)
     if a == 0 and b == 0:
-        n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
+        n = math.sqrt(mg ** 2 + md ** 2)
         raise SouthPoleA((g / n, d / n))
-    x0 = abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2
     col = 2.0 * (a.conjugate() * g + b.conjugate() * d)
     det2 = 2.0 * (a * d - b * g)
-    return x0, col.real, -det2.imag, det2.real, col.imag
-
-
-def extract(s: TwoQubitState) -> BlochCoordinates:
-    """The seven angles of a state, on the canonical b >= 0 branch.
-
-    Raises SouthPoleA (carrying the normalized qubit-B amplitudes) only at
-    alpha = beta = 0 exactly, |1>_A (x) |psi_B>, where the model is undefined.
-    """
-    a, b, g, d = s.alpha, s.beta, s.gamma, s.delta
-    x0, x1, x2, x3, x4 = _base_coords(a, b, g, d)
-    theta_a, phi_a, chi, xi, flags = _base_angles(x0, x1, x2, x3, x4)
+    theta_a, phi_a, chi, xi, flags = _base_angles(
+        ma ** 2 + mb ** 2 - mg ** 2 - md ** 2, col.real, -det2.imag,
+        det2.real, col.imag)
 
     # fiber: q_B = cos(theta_a/2) q0 + sin(theta_a/2) exp(-t phi_a) q1 with
     # q0 = alpha + beta*j, q1 = gamma + delta*j, split as q_B = u + v*j.
@@ -150,8 +148,8 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     # Quaternion.__mul__ and __add__, to_complex_pair), operands in the same
     # order, which keeps the results bit-identical to it.
     # cos(theta_a/2) = |q0| and sin(theta_a/2) = |q1|, free of cancellation
-    ch = math.hypot(abs(a), abs(b))
-    sh = math.hypot(abs(g), abs(d))
+    ch = math.hypot(ma, mb)
+    sh = math.hypot(mg, md)
     # t is _sphere_point(chi, xi), written out here to spare a call
     sc = math.sin(chi)
     tx, ty, tz = sc * math.cos(xi), sc * math.sin(xi), math.cos(chi)
@@ -163,9 +161,24 @@ def extract(s: TwoQubitState) -> BlochCoordinates:
     v = complex(ch * b.real + sh * (ew * qy - ex * qz + ey * qw + ez * qx),
                 -(ch * -b.imag + sh * (ew * qx + ex * qw + ey * qz - ez * qy)))
     theta_b, phi_b, zeta_b, fiber_flags = _fiber_angles(u, v)
+    return (theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b,
+            flags + fiber_flags)
 
-    return BlochCoordinates(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b,
-                            frozenset(flags + fiber_flags))
+
+# shared by every unflagged result, so that extract builds no set for it
+_NO_FLAGS = frozenset()
+
+
+def extract(s: TwoQubitState) -> BlochCoordinates:
+    """The seven angles of a state, on the canonical b >= 0 branch.
+
+    Raises SouthPoleA (carrying the normalized qubit-B amplitudes) only at
+    alpha = beta = 0 exactly, |1>_A (x) |psi_B>, where the model is undefined.
+    """
+    r = _extract(s.alpha, s.beta, s.gamma, s.delta)
+    flags = r[7]
+    return BlochCoordinates(r[0], r[1], r[2], r[3], r[4], r[5], r[6],
+                            frozenset(flags) if flags else _NO_FLAGS)
 
 
 def _check_range(name: str, value: float, closed_pi: bool) -> float:
@@ -178,15 +191,15 @@ def _check_range(name: str, value: float, closed_pi: bool) -> float:
     return wrap_angle(value)
 
 
-def reconstruct(c: BlochCoordinates) -> TwoQubitState:
-    """Amplitudes from the seven angles (closed form, k as the complex unit).
+def _reconstruct(theta_a: float, phi_a: float, chi: float, xi: float,
+                 theta_b: float, phi_b: float, zeta_b: float) -> tuple:
+    """``reconstruct`` on the seven angles: (alpha, beta, gamma, delta)
+    before TwoQubitState normalizes them.
 
     Angles in range pass unchanged, as _check_range would return them
     (-0.0 included), so it runs only when one comparison finds an angle off
     its range (NaN too): there it clamps within EPS_NUM or raises OutOfRange.
     """
-    theta_a, phi_a, chi, xi = c.theta_a, c.phi_a, c.chi, c.xi
-    theta_b, phi_b, zeta_b = c.theta_b, c.phi_b, c.zeta_b
     pi = math.pi
     if not (0.0 <= theta_a <= pi and 0.0 <= theta_b <= pi and 0.0 <= chi <= pi
             and 0.0 <= phi_a < TWO_PI and 0.0 <= phi_b < TWO_PI
@@ -205,13 +218,18 @@ def reconstruct(c: BlochCoordinates) -> TwoQubitState:
     gp = cmath.exp(1j * (phi_b - zeta_b))
     axial = complex(math.cos(phi_a), math.sin(phi_a) * math.cos(chi))
     swirl = 1j * math.sin(phi_a) * math.sin(chi) * cmath.exp(1j * (xi - phi_b))
+    return (ca * cb * gz, ca * sb * gp, sa * (axial * cb + swirl * sb) * gz,
+            sa * (axial * sb - swirl * cb) * gp)
 
-    return TwoQubitState(
-        ca * cb * gz,
-        ca * sb * gp,
-        sa * (axial * cb + swirl * sb) * gz,
-        sa * (axial * sb - swirl * cb) * gp,
-    )
+
+def reconstruct(c: BlochCoordinates) -> TwoQubitState:
+    """Amplitudes from the seven angles (closed form, k as the complex unit).
+
+    An angle off its range is clamped within EPS_NUM, or raises OutOfRange.
+    """
+    a, b, g, d = _reconstruct(c.theta_a, c.phi_a, c.chi, c.xi, c.theta_b,
+                              c.phi_b, c.zeta_b)
+    return TwoQubitState(a, b, g, d)
 
 
 def normalize_global_phase(c: BlochCoordinates) -> BlochCoordinates:

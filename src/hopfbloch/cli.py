@@ -23,6 +23,9 @@ from . import svg
 from .bloch import (
     BlochCoordinates,
     _XI_UNDEFINED,
+    _concurrence,
+    _extract,
+    _reconstruct,
     alternate,
     canonicalize,
     extract,
@@ -337,26 +340,30 @@ def _distance(p: tuple, q: tuple) -> np.ndarray:
 def _scalar_steps(s: TwoQubitState) -> tuple:
     """The steps of a state's check that stay on Python floats, a state at
     a time.  extract, reconstruct and phase_aligned_distance branch per
-    state.  The base point's sin and cos, the xi claim's cmath.exp and
-    ball_identity's math.hypot are not numpy's: numpy rounds its arctan2
-    and angle apart from math.atan2 and cmath.phase in about 7% of normal
-    draws, and its hypot apart from math.hypot.  The sphere guard of
-    partial_trace_projection runs here so that it raises in sweep order.
+    state; the first two run as their float cores, _extract and
+    _reconstruct, so no BlochCoordinates is built.  The base point's sin
+    and cos, the xi claim's cmath.exp and ball_identity's math.hypot are
+    not numpy's: numpy rounds its arctan2 and angle apart from math.atan2
+    and cmath.phase in about 7% of normal draws, and its hypot apart from
+    math.hypot.  The sphere guard of partial_trace_projection runs here so
+    that it raises in sweep order.
 
     It returns round_trip and ball_identity, the coordinates' concurrence,
     whether xi is defined, e^(k(xi - pi/2)) as its real and imaginary parts
     (0.0 where xi is flagged), and the base point's x0, x1 and x4: a row of
     the columns that _check_block takes."""
-    coords = extract(s)
-    round_trip = phase_aligned_distance(s, reconstruct(coords))
-    defined = _XI_UNDEFINED not in coords.flags
-    e = cmath.exp(1j * (coords.xi - 0.5 * math.pi)) if defined else 0j
-    p = _base_point(coords.theta_a, coords.phi_a, coords.chi, coords.xi)
+    (theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b,
+     flags) = _extract(s.alpha, s.beta, s.gamma, s.delta)
+    a, b, g, d = _reconstruct(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b)
+    round_trip = phase_aligned_distance(s, TwoQubitState(a, b, g, d))
+    defined = _XI_UNDEFINED not in flags
+    e = cmath.exp(1j * (xi - 0.5 * math.pi)) if defined else 0j
+    p = _base_point(theta_a, phi_a, chi, xi)
     _validate(*p)
     x0, x1, x2, x3, x4 = p
     ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
-    return (round_trip, ball, coords.concurrence, defined, e.real, e.imag,
-            x0, x1, x4)
+    return (round_trip, ball, _concurrence(theta_a, phi_a, chi), defined,
+            e.real, e.imag, x0, x1, x4)
 
 
 def _quaternion_deviations(vec: np.ndarray,
@@ -444,8 +451,9 @@ def _reduced_vs_oracle(vec: np.ndarray, x0: np.ndarray, x1: np.ndarray,
         got_re[:, k] = re
         got_im[:, k] = im
     dense = (vec[:, :, None] * vec.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
-    dense_a = np.trace(dense, axis1=2, axis2=4)
-    dense_b = np.trace(dense, axis1=1, axis2=3)
+    # the partial traces over B and over A, as np.trace sums them
+    dense_a = dense[:, :, 0, :, 0] + dense[:, :, 1, :, 1]
+    dense_b = dense[:, 0, :, 0, :] + dense[:, 1, :, 1, :]
     oracle = np.stack((dense_a, dense_b, dense_a), axis=1)
     diff = got.reshape(-1, 3, 2, 2) - oracle
     return np.abs(diff).max(axis=(2, 3)).max(axis=1)
@@ -488,8 +496,9 @@ def _check_block(states: list[TwoQubitState], fibs: np.ndarray) -> np.ndarray:
 
 
 # states per block of the check sweep: the dense oracle's arrays and the
-# quaternion columns grow with the block, so memory stays flat in --count
-_CHECK_BLOCK = 128
+# quaternion columns grow with the block, so memory stays flat in --count.
+# The default --count 500 runs as one block.
+_CHECK_BLOCK = 512
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -115,23 +115,40 @@ def phase_aligned_distance(s1: TwoQubitState, s2: TwoQubitState) -> float:
     """
     a1, b1, g1, d1 = s1.alpha, s1.beta, s1.gamma, s1.delta
     a2, b2, g2, d2 = s2.alpha, s2.beta, s2.gamma, s2.delta
-    m = [abs(a1), abs(b1), abs(g1), abs(d1)]
-    k = m.index(max(m))
-    u1, u2 = (a1, b1, g1, d1)[k], (a2, b2, g2, d2)[k]
+    top, u1, u2 = abs(a1), a1, a2
+    m = abs(b1)
+    if m > top:
+        top, u1, u2 = m, b1, b2
+    m = abs(g1)
+    if m > top:
+        top, u1, u2 = m, g1, g2
+    if abs(d1) > top:
+        u1, u2 = d1, d2
     if abs(u2) == 0.0:
-        return max(abs(a1 - a2), abs(b1 - b2), abs(g1 - g2), abs(d1 - d2))
-    phase = u1 / u2
-    try:
-        r = abs(phase)
-    except OverflowError:
-        r = math.inf
-    if r == math.inf:
-        # a subnormal u2 overflows |u1 / u2|; atan2 keeps its full precision
-        phase = cmath.rect(1.0, cmath.phase(u1) - cmath.phase(u2))
+        da, db, dg, dd = abs(a1 - a2), abs(b1 - b2), abs(g1 - g2), abs(d1 - d2)
     else:
-        phase /= r
-    return max(abs(a1 - phase * a2), abs(b1 - phase * b2),
-               abs(g1 - phase * g2), abs(d1 - phase * d2))
+        phase = u1 / u2
+        try:
+            r = abs(phase)
+        except OverflowError:
+            r = math.inf
+        if r == math.inf:
+            # a subnormal u2 overflows |u1 / u2|; atan2 keeps its full
+            # precision
+            phase = cmath.rect(1.0, cmath.phase(u1) - cmath.phase(u2))
+        else:
+            phase /= r
+        da = abs(a1 - phase * a2)
+        db = abs(b1 - phase * b2)
+        dg = abs(g1 - phase * g2)
+        dd = abs(d1 - phase * d2)
+    # the comparisons keep max's choice: the first largest, a NaN only
+    # where it comes first
+    if db > da:
+        da = db
+    if dg > da:
+        da = dg
+    return dd if dd > da else da
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -33,7 +33,7 @@ from hopfbloch import (
     reconstruct,
     wrap_angle,
 )
-from hopfbloch.bloch import _base_coords, _check_range, _fiber_angles
+from hopfbloch.bloch import _check_range, _fiber_angles
 from hopfbloch.cli import _ANGLES, _CSV_HEADER, _flag_names
 from hopfbloch.gates import Trajectory
 from hopfbloch.quaternion import PureUnitQuaternion, exp_pure, to_complex_pair
@@ -101,8 +101,16 @@ def embed_complex(z: complex) -> Quaternion:
 
 
 def _base_point(s: TwoQubitState) -> S4Point:
-    """The S^4 base point of a state; raises SouthPoleA like ``extract``."""
-    return S4Point(*_base_coords(s.alpha, s.beta, s.gamma, s.delta))
+    """The S^4 base point of a state from the amplitude bilinears, each
+    modulus squared where it is used; raises SouthPoleA like ``extract``."""
+    a, b, g, d = s.amplitudes()
+    if a == 0 and b == 0:
+        n = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
+        raise SouthPoleA((g / n, d / n))
+    col = 2.0 * (a.conjugate() * g + b.conjugate() * d)
+    det2 = 2.0 * (a * d - b * g)
+    return S4Point(abs(a) ** 2 + abs(b) ** 2 - abs(g) ** 2 - abs(d) ** 2,
+                   col.real, -det2.imag, det2.real, col.imag)
 
 
 def reference_extract(s: TwoQubitState) -> BlochCoordinates:

@@ -23,7 +23,12 @@ from hopfbloch import (
     quasi_state,
     reconstruct,
 )
-from hopfbloch.bloch import _nearer_branch, south_pole_coords
+from hopfbloch.bloch import (
+    _extract,
+    _nearer_branch,
+    _reconstruct,
+    south_pole_coords,
+)
 from hopfbloch.quaternion import (
     PureUnitQuaternion,
     Quaternion,
@@ -36,6 +41,7 @@ from hopfbloch.quaternion import (
 
 from helpers import (
     SQ2,
+    amplitude_bits,
     assert_extract_matches_reference,
     assert_reconstruct_matches_reference,
     fiber_quaternion,
@@ -43,6 +49,7 @@ from helpers import (
     quaternion_close,
     random_product_states,
     random_states,
+    same_bits,
     shortcut_base,
 )
 
@@ -105,12 +112,12 @@ def test_extract_south_pole_exception():
     assert abs(c1 - math.sin(mu)) <= 1e-15
 
 
-def test_extract_round_trips_for_every_q0_down_to_subnormal():
-    # |q0| = |(alpha, beta)| log-uniform from 1e-320 (subnormal) to 1: only
-    # alpha = beta = 0 exactly is the south pole.  Odd draws are products
-    # (q1 parallel to q0), whose small |q0| sets the phi_a and t flags.
+def _q0_sweep_states(count):
+    """|q0| = |(alpha, beta)| log-uniform from 1e-320 (subnormal) to 1: only
+    alpha = beta = 0 exactly is the south pole.  Odd draws are products
+    (q1 parallel to q0), whose small |q0| sets the phi_a and t flags."""
     rng = np.random.default_rng(26)
-    for i in range(2000):
+    for i in range(count):
         r = 10.0 ** rng.uniform(-320.0, 0.0)
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         u /= np.linalg.norm(u)
@@ -120,8 +127,12 @@ def test_extract_round_trips_for_every_q0_down_to_subnormal():
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             w /= np.linalg.norm(w)
         w *= math.sqrt(1.0 - r * r)
-        s = TwoQubitState(complex(r * u[0]), complex(r * u[1]),
-                          complex(w[0]), complex(w[1]))
+        yield TwoQubitState(complex(r * u[0]), complex(r * u[1]),
+                            complex(w[0]), complex(w[1]))
+
+
+def test_extract_round_trips_for_every_q0_down_to_subnormal():
+    for s in _q0_sweep_states(2000):
         assert phase_aligned_distance(s, reconstruct(extract(s))) <= 1e-9
 
 
@@ -202,6 +213,78 @@ def test_reconstruct_matches_reference_at_range_edges(name):
         with pytest.raises(OutOfRange, match=f"^{name} = "):
             reconstruct(c)
         assert_reconstruct_matches_reference(c)
+
+
+def _core_states():
+    """Basis, Bell, south-pole, Haar and product states and the |q0| sweep."""
+    rng = np.random.default_rng(30)
+    basis = [TwoQubitState(*(1 if i == j else 0 for i in range(4)))
+             for j in range(4)]
+    bells = [bell_state(code) for code in ("00", "01", "10", "11")]
+    south = [TwoQubitState(0, 0, SQ2, SQ2 * 1j), TwoQubitState(0, 0, 0.6, -0.8)]
+    return (basis + bells + south + random_states(rng, 300)
+            + random_product_states(rng, 300) + list(_q0_sweep_states(2000)))
+
+
+def _complex_bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def test_extract_is_its_float_core_wrapped_bit_for_bit():
+    flagged = south = 0
+    for s in _core_states():
+        try:
+            *angles, flags = _extract(s.alpha, s.beta, s.gamma, s.delta)
+        except SouthPoleA as exc:
+            with pytest.raises(SouthPoleA) as got:
+                extract(s)
+            assert _complex_bits(got.value.psi_b) == _complex_bits(exc.psi_b)
+            south += 1
+            continue
+        want = BlochCoordinates(*angles, frozenset(flags))
+        got = extract(s)
+        assert all(map(same_bits, got.angles(), want.angles()))
+        assert got.flags == want.flags
+        flagged += bool(flags)
+    assert south == 4 and flagged >= 1000
+
+
+def _amplitudes_or_error(build, *args):
+    """The amplitude bits of build(*args), or its OutOfRange message."""
+    try:
+        return amplitude_bits(build(*args))
+    except OutOfRange as exc:
+        return str(exc)
+
+
+# angles at and just past the edges of the EPS_NUM = 1e-9 band outside
+# their ranges: the first two of each are clamped or wrapped, the rest raise
+JUST_OUTSIDE = {
+    "polar": (-1e-9, PI + 1e-9, math.nextafter(-1e-9, -1.0),
+              math.nextafter(PI + 1e-9, 4.0)),
+    "azimuth": (-1e-9, TWO_PI + 1e-9, math.nextafter(-1e-9, -1.0),
+                math.nextafter(TWO_PI + 1e-9, 7.0)),
+}
+
+
+def test_reconstruct_is_its_float_core_wrapped_bit_for_bit():
+    coords = []
+    for s in _core_states():
+        c = _coords_of(s)
+        coords += [c, alternate(c)]
+    base = dict(zip(ANGLE_NAMES, (1.1, 2.2, 0.7, 4.0, 1.9, 3.3, 5.1)))
+    for name in ANGLE_NAMES:
+        kind = "polar" if name in POLAR_NAMES else "azimuth"
+        for value in ACCEPTED[kind] + REJECTED[kind] + JUST_OUTSIDE[kind]:
+            coords.append(BlochCoordinates(**{**base, name: value}))
+    rejected = 0
+    for c in coords:
+        got = _amplitudes_or_error(reconstruct, c)
+        want = _amplitudes_or_error(
+            lambda *angles: TwoQubitState(*_reconstruct(*angles)), *c.angles())
+        assert got == want
+        rejected += isinstance(got, str)
+    assert rejected == 3 * 7 + 4 * 5 + 2 * 7
 
 
 def test_roundtrip_random_states():

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import contextlib
+import gc
 import io
 import json
 import math
@@ -722,7 +723,12 @@ def test_check_block_raises_what_the_per_state_sweep_meets_first(monkeypatch):
 # tracemalloc peak growth of `check --count` per state between two counts:
 # the (count, 8) draw and the (count, 6) deviation table take 112 bytes a
 # state, and the blocks' arrays and columns do not grow with the count, so
-# one more float64 array as long as the sweep would break the bound
+# one more float64 array as long as the sweep would break the bound.  Each
+# count starts after a full collection, which empties CPython's tuple free
+# lists, so both runs allocate a block's tuples under tracing: otherwise one
+# run can reuse tuples freed before tracemalloc started and the other not,
+# depending on when the last collection ran, which moves one peak by a
+# block's worth (about 96 KB at 512 states)
 CHECK_BYTES_PER_STATE = 120
 
 
@@ -732,6 +738,7 @@ def test_check_memory_grows_only_with_its_two_tables(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["check", "--count", "10"])  # the parser and numpy, loaded once
         for count in counts:
+            gc.collect()
             tracemalloc.start()
             try:
                 assert main(["check", "--count", str(count)]) == 0

@@ -16,8 +16,9 @@ HOT = {
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
               "_reduced_columns", "_complex_product", "_squared_modulus",
               "_concurrence_columns", "_projection_parts", "_dyad",
-              "_dyad_entries", "_matmul"),
-    "bloch": ("extract", "_fiber_angles", "south_pole_coords", "_has_twin",
+              "_dyad_entries", "_matmul", "phase_aligned_distance"),
+    "bloch": ("extract", "_extract", "_reconstruct", "_concurrence",
+              "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),
     "gates": ("_apply", "trajectory", "_samples", "_sample_path"),
     "cli": ("_scalar_steps", "_distance", "_nan_max_columns",
