@@ -18,7 +18,6 @@ from .errors import FiberAtInfinity, NotNormalized, OffSphere
 from .quaternion import (
     Quaternion,
     _hamilton,
-    _slot_setters,
     _sphere_point,
     _wxyz,
     wrap_angle,
@@ -62,7 +61,7 @@ def _block_norm(x2: float, x3: float, x4: float) -> float:
     return math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class S4Point:
     """Cartesian point on the unit 4-sphere embedded in R^5.
 
@@ -77,13 +76,6 @@ class S4Point:
     x3: float
     x4: float
 
-    def __init__(self, x0: float, x1: float, x2: float, x3: float, x4: float):
-        _set_x0(self, x0)
-        _set_x1(self, x1)
-        _set_x2(self, x2)
-        _set_x3(self, x3)
-        _set_x4(self, x4)
-
     @property
     def b(self) -> float:
         return _block_norm(self.x2, self.x3, self.x4)
@@ -94,9 +86,6 @@ class S4Point:
 
     def validate(self) -> None:
         _validate(self.x0, self.x1, self.x2, self.x3, self.x4)
-
-
-_set_x0, _set_x1, _set_x2, _set_x3, _set_x4 = _slot_setters(S4Point)
 
 
 def h1(q0: Quaternion, q1: Quaternion) -> Quaternion:

@@ -15,13 +15,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a: float) -> float:
-    """Map an angle into [0, 2*pi).  Values within one ulp of 2*pi wrap to 0."""
-    if 0.0 <= a < TWO_PI:
-        return a  # fmod is the identity here, -0.0 included
-    a = math.fmod(a, TWO_PI)
+    """Map an angle into [0, 2*pi); +-inf and NaN give NaN."""
+    try:
+        a = math.fmod(a, TWO_PI)
+    except ValueError:  # fmod raises on +-inf, where it passes NaN through
+        return math.nan
     if a < 0.0:
         a += TWO_PI
-    if a >= TWO_PI:
+    if a >= TWO_PI:  # a tiny negative a rounded up to 2*pi
         a = 0.0
     return a
 
@@ -63,7 +64,7 @@ def _slot_setters(cls: type) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Quaternion:
     """q = w + x*i + y*j + z*k with real coefficients."""
 
@@ -71,13 +72,6 @@ class Quaternion:
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0,
-                 z: float = 0.0):
-        _set_w(self, w)
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
@@ -111,9 +105,6 @@ class Quaternion:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-
-_set_w, _set_x, _set_y, _set_z = _slot_setters(Quaternion)
 
 
 def _wxyz(q: Quaternion) -> tuple[float, float, float, float]:

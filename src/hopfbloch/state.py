@@ -151,22 +151,15 @@ def phase_aligned_distance(s1: TwoQubitState, s2: TwoQubitState) -> float:
     return dd if dd > da else da
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class QuasiState:
     """Quaternion amplitude pair in the chosen basis; |q0|^2 + |q1|^2 = 1."""
 
     q0: Quaternion
     q1: Quaternion
 
-    def __init__(self, q0: Quaternion, q1: Quaternion):
-        _set_q0(self, q0)
-        _set_q1(self, q1)
-
     def norm_squared(self) -> float:
         return self.q0.norm_squared() + self.q1.norm_squared()
-
-
-_set_q0, _set_q1 = _slot_setters(QuasiState)
 
 
 def quasi_state(s: TwoQubitState, basis: Basis = Basis.A) -> QuasiState:
@@ -178,7 +171,7 @@ def quasi_state(s: TwoQubitState, basis: Basis = Basis.A) -> QuasiState:
                       from_complex_pair(s.beta, s.delta))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class QuasiDensity:
     """2x2 quaternion-entried dyad of a quasi-state.
 
@@ -189,13 +182,6 @@ class QuasiDensity:
     e01: Quaternion
     e10: Quaternion
     e11: Quaternion
-
-    def __init__(self, e00: Quaternion, e01: Quaternion, e10: Quaternion,
-                 e11: Quaternion):
-        _set_e00(self, e00)
-        _set_e01(self, e01)
-        _set_e10(self, e10)
-        _set_e11(self, e11)
 
     @property
     def trace(self) -> float:
@@ -208,9 +194,6 @@ class QuasiDensity:
 
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.e00, self.e01, self.e10, self.e11
-
-
-_set_e00, _set_e01, _set_e10, _set_e11 = _slot_setters(QuasiDensity)
 
 
 def _matmul(m: tuple, n: tuple) -> tuple:

@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hopfbloch import (
+    BlochCoordinates,
     PureUnitQuaternion,
     Quaternion,
+    alternate,
     angle_distance,
+    coords_distance,
     exp_pure,
     from_complex_pair,
+    normalize_global_phase,
     to_complex_pair,
     wrap_angle,
 )
@@ -237,6 +242,24 @@ def test_wrap_angle_range():
         assert 0.0 <= w < 2 * math.pi
     assert wrap_angle(2 * math.pi) == 0.0
     assert angle_distance(0.0, 2 * math.pi - 1e-12) <= 2e-12
+    # +-inf give NaN as NaN does, through wrap_angle's public callers, not a
+    # bare ValueError from math.fmod
+    for bad in (math.inf, -math.inf, math.nan):
+        assert math.isnan(wrap_angle(bad))
+        assert math.isnan(angle_distance(bad, 1.0))
+        assert math.isnan(angle_distance(1.0, bad))
+    c = BlochCoordinates(0.5, 1.0, 1.5, 2.0, 0.25, 3.0, 0.125)
+    for bad in (math.inf, -math.inf):
+        for f in dataclasses.fields(c)[:7]:
+            d = dataclasses.replace(c, **{f.name: bad})
+            assert math.isnan(coords_distance(d, c))
+            assert math.isnan(coords_distance(c, d))
+            assert normalize_global_phase(d).zeta_b == 0.0
+        # the phase shift wraps both azimuths that it moves
+        n = normalize_global_phase(dataclasses.replace(c, zeta_b=bad))
+        assert math.isnan(n.xi) and math.isnan(n.phi_b)
+        twin = alternate(dataclasses.replace(c, xi=bad))
+        assert math.isnan(twin.xi) and twin.chi == math.pi - c.chi
 
 
 def test_wrapped_distance_matches_builtin_min_bit_for_bit():

@@ -10,9 +10,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfbloch"
 
 HOT = {
-    "quaternion": ("_wrapped_distance", "_hamilton", "_from_complex_pair"),
+    "quaternion": ("_wrapped_distance", "_hamilton", "_from_complex_pair",
+                   "wrap_angle", "_sphere_point"),
     "hopf": ("_base_angles", "h1", "inverse_stereographic", "_h1", "_lift",
-             "_base_point", "_pair_norms", "_quotient"),
+             "_base_point", "_pair_norms", "_quotient", "_validate",
+             "_block_norm"),
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
               "_reduced_columns", "_complex_product", "_squared_modulus",
               "_concurrence_columns", "_projection_parts", "_dyad",

@@ -97,6 +97,13 @@ def test_value_type_keywords_and_defaults():
     assert Quaternion() == Quaternion(0.0, 0.0, 0.0, 0.0)
     assert Quaternion(0.5, z=0.25) == Quaternion(0.5, 0.0, 0.0, 0.25)
 
+    assert S4Point(x4=-0.75, x3=0.125, x2=0.25, x1=-0.5, x0=0.5) == POINT
+    assert QuasiState(q1=Quaternion(0.0, 0.5), q0=QUAT) == QUASI
+    assert QuasiDensity(e11=Quaternion(0.75), e10=Quaternion(-0.0, z=1.5),
+                        e01=QUAT, e00=Quaternion(0.25)) == DENSITY
+    with pytest.raises(TypeError):
+        S4Point(0.5, -0.5, 0.25, 0.125)  # no field has a default
+
 
 def test_replace_renormalises_state():
     s = dataclasses.replace(TwoQubitState(1, 0, 0, 0), alpha=1 + 1e-7)
@@ -124,8 +131,7 @@ def _hand_initialised():
 
 def test_hand_written_inits_follow_their_fields():
     examples = {TwoQubitState: STATE, BlochCoordinates: COORDS,
-                TrajectorySample: SAMPLE, Quaternion: QUAT, S4Point: POINT,
-                QuasiState: QUASI, QuasiDensity: DENSITY}
+                TrajectorySample: SAMPLE}
     # a new init=False dataclass needs an example here
     assert _hand_initialised() == set(examples)
     for cls, example in examples.items():
