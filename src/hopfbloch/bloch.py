@@ -70,7 +70,10 @@ class BlochCoordinates:
     @property
     def b(self) -> float:
         """Signed: negative on the non-canonical branch."""
-        return math.sin(self.theta_a) * math.sin(self.phi_a)
+        try:
+            return math.sin(self.theta_a) * math.sin(self.phi_a)
+        except ValueError:  # math.sin raises on +-inf, where NaN passes
+            return math.nan
 
     @property
     def t(self) -> PureUnitQuaternion:
@@ -87,7 +90,10 @@ class BlochCoordinates:
 
 def _concurrence(theta_a: float, phi_a: float, chi: float) -> float:
     """``BlochCoordinates.concurrence``, |b sin(chi)|, on the angles."""
-    return abs(math.sin(theta_a) * math.sin(phi_a) * math.sin(chi))
+    try:
+        return abs(math.sin(theta_a) * math.sin(phi_a) * math.sin(chi))
+    except ValueError:  # math.sin raises on +-inf, where NaN passes
+        return math.nan
 
 
 (_set_theta_a, _set_phi_a, _set_chi, _set_xi, _set_theta_b, _set_phi_b,

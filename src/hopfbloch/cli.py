@@ -56,6 +56,8 @@ from .state import (
     _dyad,
     _dyad_entries,
     _matmul,
+    _normalized_columns,
+    _phase_aligned_columns,
     _projection_parts,
     _reduced_columns,
     bell_state,
@@ -337,32 +339,32 @@ def _distance(p: tuple, q: tuple) -> np.ndarray:
     return np.sqrt(w * w + x * x + y * y + z * z)
 
 
-def _scalar_steps(s: TwoQubitState) -> tuple:
-    """The steps of a state's check that stay on Python floats, a state at
-    a time.  extract, reconstruct and phase_aligned_distance branch per
-    state; the first two run as their float cores, _extract and
-    _reconstruct, so no BlochCoordinates is built.  The base point's sin
+def _scalar_steps(a: complex, b: complex, g: complex, d: complex) -> tuple:
+    """The steps of the check of the state (a, b, g, d) that stay on Python
+    numbers, a state at a time: extract and reconstruct, which branch per
+    state, run as their float cores, _extract and _reconstruct, so no
+    BlochCoordinates is built.  The base point's sin
     and cos, the xi claim's cmath.exp and ball_identity's math.hypot are
     not numpy's: numpy rounds its arctan2 and angle apart from math.atan2
     and cmath.phase in about 7% of normal draws, and its hypot apart from
     math.hypot.  The sphere guard of partial_trace_projection runs here so
     that it raises in sweep order.
 
-    It returns round_trip and ball_identity, the coordinates' concurrence,
-    whether xi is defined, e^(k(xi - pi/2)) as its real and imaginary parts
-    (0.0 where xi is flagged), and the base point's x0, x1 and x4: a row of
-    the columns that _check_block takes."""
+    It returns reconstruct's four amplitudes before TwoQubitState
+    normalizes them, ball_identity, the coordinates' concurrence, whether xi
+    is defined, e^(k(xi - pi/2)) as its real and imaginary parts (0.0 where
+    xi is flagged), and the base point's x0, x1 and x4: a row of the columns
+    that _check_block takes."""
     (theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b,
-     flags) = _extract(s.alpha, s.beta, s.gamma, s.delta)
-    a, b, g, d = _reconstruct(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b)
-    round_trip = phase_aligned_distance(s, TwoQubitState(a, b, g, d))
+     flags) = _extract(a, b, g, d)
+    amplitudes = _reconstruct(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b)
     defined = _XI_UNDEFINED not in flags
     e = cmath.exp(1j * (xi - 0.5 * math.pi)) if defined else 0j
     p = _base_point(theta_a, phi_a, chi, xi)
     _validate(*p)
     x0, x1, x2, x3, x4 = p
     ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
-    return (round_trip, ball, _concurrence(theta_a, phi_a, chi), defined,
+    return (*amplitudes, ball, _concurrence(theta_a, phi_a, chi), defined,
             e.real, e.imag, x0, x1, x4)
 
 
@@ -459,33 +461,32 @@ def _reduced_vs_oracle(vec: np.ndarray, x0: np.ndarray, x1: np.ndarray,
     return np.abs(diff).max(axis=(2, 3)).max(axis=1)
 
 
-def _check_block(states: list[TwoQubitState], fibs: np.ndarray) -> np.ndarray:
-    """Each state's deviation from each of _INVARIANTS, a row each, with the
-    rows of fibs their unit fiber elements.  It raises the error that
+def _check_block(rows: list, vec: np.ndarray, fibs: np.ndarray) -> np.ndarray:
+    """Each state's deviation from each of _INVARIANTS, a row each, with its
+    amplitudes a tuple of `rows` and a row of the complex array `vec`, and
+    its unit fiber element a row of fibs.  It raises the error that
     checking the states one at a time, in order, meets first.
 
     Past _scalar_steps, every invariant runs once per block on numpy
     columns, an entry per state.  Each column step is an operation that
     the per-state formula takes on that state's numbers, with numpy
-    rounding it as Python does (a complex product written out in real
-    parts, np.hypot for the complex abs, np.float_power for ** 2), so each
-    row is bit for bit that formula's."""
+    rounding it as Python does (a complex product or quotient written out
+    in real parts, np.hypot for the complex abs, np.float_power for ** 2),
+    so each row is bit for bit that formula's."""
     import numpy as np
-    vec = np.array([s.amplitudes() for s in states], dtype=complex)
     stop, projector, fiber = _quaternion_deviations(vec, fibs)
     # the states after the first that a guard rejects are never reached,
     # and the scalar steps of the states up to it come first
-    steps = [_scalar_steps(s) for s in states[:stop + 1]]
-    if stop < len(states):
+    steps = np.array([_scalar_steps(*row) for row in rows[:stop + 1]])
+    if stop < len(rows):
         # the cores raise that state's NotNormalized, with their message
         (a, b, g, d), fib = vec[stop].tolist(), fibs[stop].tolist()
         q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
         _dyad(q0, q1)
         _h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib))
-    (round_trip, ball, concurrence, defined, e_re, e_im,
-     x0, x1, x4) = np.array(steps).T
-    table = np.empty((len(states), len(_INVARIANTS)))
-    table[:, 0] = round_trip
+    ball, concurrence, defined, e_re, e_im, x0, x1, x4 = steps[:, 4:].real.T
+    table = np.empty((len(rows), len(_INVARIANTS)))
+    table[:, 0] = _phase_aligned_columns(vec, _normalized_columns(steps[:, :4]))
     table[:, 1] = _concurrence_identity(vec, concurrence, defined != 0.0,
                                         e_re, e_im)
     table[:, 2] = projector
@@ -528,21 +529,22 @@ def _check_table(rng: np.random.Generator, state: TwoQubitState | None,
     4-vector per state for its fiber element, a block of states at a time.
     """
     import numpy as np
-    if state is None:
-        try:
-            raw = rng.normal(size=(count, 8))
-        except (MemoryError, ValueError) as exc:
-            raise ParseError(f"--count {count} is too large: {exc}") from None
-    else:
-        count = 1
+    if state is not None:
+        # as given: _extract rounds ints, floats and complex numbers apart
+        rows = [state.amplitudes()]
+        return _check_block(rows, np.array(rows, dtype=complex),
+                            _unit_rows(rng.normal(size=(1, 4))))
+    try:
+        raw = rng.normal(size=(count, 8))
+    except (MemoryError, ValueError) as exc:
+        raise ParseError(f"--count {count} is too large: {exc}") from None
     table = np.empty((count, len(_INVARIANTS)))
     for lo in range(0, count, _CHECK_BLOCK):
         block = slice(lo, lo + _CHECK_BLOCK)
-        states = [state] if state is not None else [
-            TwoQubitState(*amps) for amps
-            in _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2]).tolist()]
+        vec = _normalized_columns(
+            _unit_rows(raw[block, 0::2] + 1j * raw[block, 1::2]))
         table[block] = _check_block(
-            states, _unit_rows(rng.normal(size=(len(states), 4))))
+            vec.tolist(), vec, _unit_rows(rng.normal(size=(len(vec), 4))))
     return table
 
 

@@ -158,8 +158,11 @@ def _base_point(theta: float, phi: float, chi: float,
                 xi: float) -> tuple[float, float, float, float, float]:
     """``base_from_angles`` on bare floats, as (x0, x1, x2, x3, x4)."""
     x1, b, x0 = _sphere_point(theta, phi)
-    sc = math.sin(chi)
-    return x0, x1, b * sc * math.cos(xi), b * sc * math.sin(xi), b * math.cos(chi)
+    try:
+        sc = math.sin(chi)
+        return x0, x1, b * sc * math.cos(xi), b * sc * math.sin(xi), b * math.cos(chi)
+    except ValueError:  # on +-inf, which x * 0.0 + x turns into NaN alone
+        return _base_point(theta, phi, chi * 0.0 + chi, xi * 0.0 + xi)
 
 
 def angles_from_base(p: S4Point) -> tuple:

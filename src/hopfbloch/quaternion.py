@@ -43,8 +43,11 @@ def angle_distance(a: float, b: float) -> float:
 
 def _sphere_point(polar: float, azimuth: float) -> tuple[float, float, float]:
     """The unit vector at polar angle `polar` from +z, azimuth from +x to +y."""
-    s = math.sin(polar)
-    return s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
+    try:
+        s = math.sin(polar)
+        return s * math.cos(azimuth), s * math.sin(azimuth), math.cos(polar)
+    except ValueError:  # on +-inf, which x * 0.0 + x turns into NaN alone
+        return _sphere_point(polar * 0.0 + polar, azimuth * 0.0 + azimuth)
 
 
 def _hamilton(w1: float, x1: float, y1: float, z1: float, w2: float, x2: float,

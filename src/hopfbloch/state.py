@@ -284,6 +284,55 @@ def _complex_product(ar: float, ai: float, br: float,
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _complex_quotient(ar: np.ndarray, ai: np.ndarray, br: np.ndarray,
+                      bi: np.ndarray) -> tuple:
+    """``_complex_product``'s counterpart for (ar + ai*1j) / (br + bi*1j),
+    by CPython's Smith's formula.  Before Python 3.14, a complex over a
+    float is this quotient with the float's imaginary part 0.0."""
+    import numpy as np
+    by_re = abs(br) >= abs(bi)  # divide through by br, else by bi (or NaN)
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    ratio = small / big
+    denom = big + small * ratio  # both branches' denominator
+    return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _normalized_columns(rows: np.ndarray) -> np.ndarray:
+    """TwoQubitState's renormalization of each row of a numpy complex array,
+    bit for bit; the first row that it rejects raises through it."""
+    import numpy as np
+    re, im = rows.real, rows.imag
+    n2 = sum(_squared_modulus(re, im).T)  # in TwoQubitState's order
+    n = np.sqrt(n2)[:, None]
+    for row in np.flatnonzero(~(abs(n - 1.0) <= NORM_INPUT_TOL))[:1]:
+        TwoQubitState(*rows[row].tolist())
+    out, off = rows.copy(), n2 != 1.0  # a row at unit norm stays as given
+    out.real[off], out.imag[off] = _complex_quotient(re[off], im[off], n[off], 0.0)
+    return out
+
+
+def _phase_aligned_columns(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """phase_aligned_distance of each pair of rows of two numpy complex
+    arrays of amplitudes, bit for bit: v1's first largest amplitude, never a
+    NaN, aligns, and a NaN deviation counts only where it comes first."""
+    import numpy as np
+    k = np.argmax(np.fmax(np.hypot(v1.real, v1.imag), -1.0), axis=1)[:, None]
+    u1, u2 = np.take_along_axis(v1, k, 1), np.take_along_axis(v2, k, 1)
+    with np.errstate(all="ignore"):
+        re, im = _complex_quotient(u1.real, u1.imag, u2.real, u2.imag)
+        r = np.hypot(re, im)
+        re, im = _complex_quotient(re, im, r, 0.0)
+        for j in np.flatnonzero(r == math.inf).tolist():
+            z = cmath.rect(1.0, cmath.phase(u1[j, 0]) - cmath.phase(u2[j, 0]))
+            re[j], im[j] = z.real, z.imag
+        re, im = _complex_product(re, im, v2.real, v2.imag)
+        zero = np.hypot(u2.real, u2.imag) == 0.0
+        dev = np.hypot(v1.real - np.where(zero, v2.real, re),
+                       v1.imag - np.where(zero, v2.imag, im))
+    return np.where(dev[:, 0] >= 0.0, np.fmax.reduce(dev, axis=1), dev[:, 0])
+
+
 def _squared_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """abs(z) ** 2 on numpy float64 columns of z's parts.  np.hypot rounds
     as the complex abs does (both call libm's hypot), and np.float_power(x,

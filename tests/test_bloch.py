@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,43 @@ def test_reconstruct_matches_reference_at_range_edges(name):
             reconstruct(c)
         assert_reconstruct_matches_reference(c)
 
+
+
+# the callers that read an angle through math.sin or math.cos, by name
+INFINITE_ANGLE_CALLERS = {
+    "b": lambda c: c.b,
+    "t": lambda c: c.t,
+    "concurrence": lambda c: c.concurrence,
+    "s4_point": lambda c: c.s4_point,
+    "alternate": alternate,
+    "canonicalize": canonicalize,
+}
+
+
+def _nan_read_floats(value):
+    """The floats of a result, in order, with each infinity read as NaN."""
+    if isinstance(value, BlochCoordinates):
+        floats = value.angles()
+    elif dataclasses.is_dataclass(value):
+        floats = dataclasses.astuple(value)
+    else:
+        floats = (value,)
+    return [math.nan if math.isinf(x) else x for x in floats]
+
+
+@pytest.mark.parametrize("caller", INFINITE_ANGLE_CALLERS)
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("name", ANGLE_NAMES[:4])
+def test_infinite_angle_gives_what_nan_gives(name, inf, caller):
+    # math.sin and math.cos raise on +-inf and pass NaN through; phi_a = 4.0
+    # puts the coordinates on the b < 0 branch, which canonicalize flips.
+    # An infinite angle that a caller passes on unread stays infinite, so
+    # infinities are read as NaN on both sides
+    base = BlochCoordinates(1.1, 4.0, 0.7, 2.2, 1.9, 3.3, 5.1)
+    call = INFINITE_ANGLE_CALLERS[caller]
+    got = call(dataclasses.replace(base, **{name: inf}))
+    want = call(dataclasses.replace(base, **{name: math.nan}))
+    assert all(map(same_bits, _nan_read_floats(got), _nan_read_floats(want)))
 
 def _core_states():
     """Basis, Bell, south-pole, Haar and product states and the |q0| sweep."""

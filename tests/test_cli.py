@@ -474,7 +474,7 @@ def _nan_last_entry(a, b, c, d):
 # the projector, reduced_vs_oracle and fiber_invariance NaNs come after a
 # finite value of the same state, where the builtin max would drop them
 NAN_DEVIATIONS = [
-    ("phase_aligned_distance", lambda s1, s2: math.nan, "round_trip"),
+    ("_phase_aligned_columns", lambda v1, v2: math.nan, "round_trip"),
     ("_concurrence_columns", lambda a, b, g, d: (math.nan, 0.0, 0.0),
      "concurrence_identity"),
     ("_dyad_entries",
@@ -594,6 +594,12 @@ def _raw_state(*amps):
     return s
 
 
+def _check_block(states, fibs):
+    """cli._check_block on the amplitudes of states."""
+    rows = [s.amplitudes() for s in states]
+    return cli._check_block(rows, np.array(rows, dtype=complex), fibs)
+
+
 def test_check_block_rows_match_the_per_state_reference_in_a_mixed_block():
     # one block where rows at infinity, whose fiber_invariance the column
     # mask writes as 0.0, and rows where xi is flagged, whose
@@ -620,7 +626,7 @@ def test_check_block_rows_match_the_per_state_reference_in_a_mixed_block():
     ]
     raw = np.random.default_rng(9).normal(size=(len(states), 4))
     raw[-1] = np.random.default_rng(68).normal(size=4)
-    got = cli._check_block(states, cli._unit_rows(raw))
+    got = _check_block(states, cli._unit_rows(raw))
     assert got[:, 5].tolist().count(0.0) >= 5  # the rows at infinity
     assert [CoordFlag.XI_UNDEFINED in extract(s).flags
             for s in states].count(True) >= 8
@@ -635,7 +641,7 @@ def test_check_block_at_infinity_emits_no_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fibs = cli._unit_rows(np.random.default_rng(1).normal(size=(5, 4)))
-        cli._check_block(states, fibs)
+        _check_block(states, fibs)
         code = main(["check", "--state=1,0;0,0;1e-12,0;0,0"])
     assert code == 0
     assert capsys.readouterr().err == ""
@@ -699,23 +705,23 @@ def test_check_block_raises_what_the_per_state_sweep_meets_first(monkeypatch):
 
     # _h1's guard on the moved pair, which only a pair off infinity reaches
     states = [good, at_infinity, good, good]
-    assert _first_error(lambda: cli._check_block(
+    assert _first_error(lambda: _check_block(
         states, fibs(doubled=(1, 2), nan=(3,)))) == (
         NotNormalized, "|q0|^2 + |q1|^2 = 4, expected 1")
-    assert _first_error(lambda: cli._check_block(
+    assert _first_error(lambda: _check_block(
         states, fibs(doubled=(1,), nan=(3,)))) == (
         NotNormalized, "|q0|^2 + |q1|^2 = nan, expected 1")
     # a state before the rejected one raises first; one after it is never
     # reached
-    assert _first_error(lambda: cli._check_block(
+    assert _first_error(lambda: _check_block(
         [good, off_sphere, good], fibs(doubled=(2,))[:3])) == (
         OffSphere, "coordinates off the unit 4-sphere by nan")
-    assert _first_error(lambda: cli._check_block(
+    assert _first_error(lambda: _check_block(
         [good, good, off_sphere], fibs(doubled=(1,))[:3]))[0] is NotNormalized
     # _dyad's guard, whose state extract rejects first unless stubbed out
-    monkeypatch.setattr(cli, "_scalar_steps", lambda s: (0.0,) * 9)
+    monkeypatch.setattr(cli, "_scalar_steps", lambda a, b, g, d: (0.0,) * 12)
     scaled = _raw_state(*(a * (1 + 1e-8) for a in good.amplitudes()))
-    assert _first_error(lambda: cli._check_block(
+    assert _first_error(lambda: _check_block(
         [good, scaled, off_sphere], unit[:3])) == (
         NotNormalized, "quasi-state norm^2 1.00000002 is not 1")
 

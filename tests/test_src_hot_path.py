@@ -18,7 +18,9 @@ HOT = {
     "state": ("quasi_density", "_product_sum", "_reduced_entries",
               "_reduced_columns", "_complex_product", "_squared_modulus",
               "_concurrence_columns", "_projection_parts", "_dyad",
-              "_dyad_entries", "_matmul", "phase_aligned_distance"),
+              "_dyad_entries", "_matmul", "phase_aligned_distance",
+              "_complex_quotient", "_normalized_columns",
+              "_phase_aligned_columns"),
     "bloch": ("extract", "_extract", "_reconstruct", "_concurrence",
               "_fiber_angles", "south_pole_coords", "_has_twin",
               "_flipped_angles", "_nearer_branch"),

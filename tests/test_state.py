@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from hopfbloch import (
 from hopfbloch.quaternion import angle_distance
 from hopfbloch.state import (
     _complex_product,
+    _complex_quotient,
+    _normalized_columns,
+    _phase_aligned_columns,
     _projection_parts,
     _reduced_columns,
     _reduced_entries,
@@ -55,6 +59,7 @@ from helpers import (
     reference_matmul,
     reference_phase_aligned_distance,
     reference_quasi_density,
+    same_bits,
     same_quaternion_bits,
     special_quaternions,
     unit_pair,
@@ -510,6 +515,116 @@ def test_column_complex_product_is_pythons_bit_for_bit():
     want = np.array([p * q.conjugate() for p, q in pairs])
     assert got.tobytes() == want.tobytes()
 
+
+
+# finite parts, zeros of both signs and a subnormal among them
+QUOTIENT_PARTS = (0.0, -0.0, 5e-324, 1.0, -0.5, 2.5, -3.0, 1e300, -1e300)
+QUOTIENT_COMPLEX = [complex(re, im) for re in QUOTIENT_PARTS
+                    for im in QUOTIENT_PARTS]
+
+
+def _quotient_bits(pairs, divide):
+    """(Python's p / q, the column form's) as complex arrays, pairs being
+    (p, q) and divide taking the four float64 columns."""
+    p, q = np.array(pairs).T
+    with np.errstate(all="ignore"):
+        re, im = divide(p.real, p.imag, q.real, q.imag)
+    got = np.empty(len(pairs), dtype=complex)
+    got.real, got.imag = re, im
+    return np.array([a / b for a, b in pairs]).tobytes(), got.tobytes()
+
+
+def test_column_complex_quotient_is_pythons_bit_for_bit():
+    # Smith's two branches, |br| >= |bi| and |bi| > |br|; a divisor with
+    # equal parts takes the first; quotients that overflow or underflow
+    rng = np.random.default_rng(12)
+    haar = [complex(*row) for row in rng.normal(size=(400, 2))]
+    pairs = [(p, q) for p in QUOTIENT_COMPLEX for q in QUOTIENT_COMPLEX
+             if q != 0]
+    pairs += [(p, complex(x, s * x)) for p in haar[:20]
+              for x in (0.5, -2.0) for s in (1, -1)]
+    pairs += list(zip(haar[:200], haar[200:]))
+    assert any(abs(q.real) < abs(q.imag) for _, q in pairs)
+    want, got = _quotient_bits(pairs, _complex_quotient)
+    assert got == want
+    # before Python 3.14 a float divisor is complex(divisor, 0.0): floats
+    # over floats, with -0.0 parts among them
+    pairs = [(p, float(q)) for p in QUOTIENT_COMPLEX + haar
+             for q in QUOTIENT_PARTS[2:]]
+    want, got = _quotient_bits(
+        pairs, lambda ar, ai, br, bi: _complex_quotient(ar, ai, br, 0.0))
+    assert got == want
+
+
+def _amplitude_array(states):
+    return np.array([s.amplitudes() for s in states], dtype=complex)
+
+
+def test_column_normalization_is_two_qubit_states_bit_for_bit():
+    rng = np.random.default_rng(13)
+    raw = rng.normal(size=(300, 8))
+    haar = raw[:, 0::2] + 1j * raw[:, 1::2]
+    haar /= np.linalg.norm(haar, axis=1)[:, None]
+    # squared norm 1.0 exactly, -0.0 parts included, stored as given
+    unit = [(0.6, -0.8j, 0.0, 0.0), (complex(-0.0, 0.6), 0.0, 0.8, -0.0),
+            (1.0, 0.0, 0.0, 0.0), (0.5, 0.5j, -0.5, complex(-0.5, -0.0))]
+    # within 1e-6 of unit norm: renormalized
+    near = [(*row[:3], row[3] * (1 + 9e-7)) for row in haar[:20].tolist()]
+    rows = np.array(haar.tolist() + unit + near, dtype=complex)
+    got = _normalized_columns(rows)
+    want = _amplitude_array(TwoQubitState(*row) for row in rows.tolist())
+    assert got.tobytes() == want.tobytes()
+    assert got[300:304].tobytes() == rows[300:304].tobytes()
+    assert (got[304:] != rows[304:]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("bad", [
+    (1.0 + 3e-6, 0.0, 0.0, 0.0), (complex(math.nan), 0.0, 0.0, 0.0),
+    (0.0, complex(0.0, math.inf), 0.0, 0.0), (1e200, 1e200, 0.0, 0.0),
+], ids=["off", "nan", "inf", "overflow"])
+def test_column_normalization_raises_twoqubitstates_error_first(bad):
+    rows = np.array([bell_state("00").amplitudes(), bad, (math.nan, 0, 0, 0)],
+                    dtype=complex)
+    with pytest.raises(NotNormalized) as want:
+        TwoQubitState(*bad)
+    with pytest.raises(NotNormalized) as got, np.errstate(over="ignore"):
+        _normalized_columns(rows)
+    assert str(got.value) == str(want.value)
+
+
+def _raw_amplitudes(*amps):
+    """An object with the amplitude attributes phase_aligned_distance reads,
+    which no normalization guards, for NaN rows."""
+    return SimpleNamespace(**dict(zip(("alpha", "beta", "gamma", "delta"),
+                                      amps)), amplitudes=lambda: amps)
+
+
+def test_column_phase_alignment_is_phase_aligned_distance_bit_for_bit():
+    basis = [TwoQubitState(*(1 if i == j else 0 for i in range(4)))
+             for j in range(4)]
+    bells = [bell_state(code) for code in ("00", "01", "10", "11")]
+    ties = basis + bells + [TwoQubitState(0.5, -0.5, 0.5j, -0.5j)]
+    haar = random_states(np.random.default_rng(14), 300)
+    pairs = [(s1, s2) for s1 in ties for s2 in ties + haar[:20]]
+    pairs += [(s2, s1) for s1, s2 in pairs]
+    pairs += list(zip(haar[:100], haar[100:200]))
+    pairs += [(s, reconstruct(extract(s))) for s in haar[200:]]
+    # a subnormal u2, whose u1 / u2 overflows: the cmath.rect route
+    for tiny in (1e-310, 1e-310j, 5e-324, 3.5e-309 * (1 + 1j)):
+        pairs.append((basis[0], TwoQubitState(tiny, 1, 0, 0)))
+        pairs.append((TwoQubitState(0.6, 0.8, 0, 0),
+                      TwoQubitState(0.6, 0.8j * tiny, 0.8, 0)))
+    # NaN in either state, before or after the largest amplitude
+    nan = complex(math.nan, 0.0)
+    for amps in ((nan, 0.6, 0.8, 0), (0.6, 0.8, nan, 0), (0.6, nan, 0.8j, 0)):
+        raw = _raw_amplitudes(*amps)
+        for s in (bells[0], haar[0]):
+            pairs += [(raw, s), (s, raw)]
+    want = [phase_aligned_distance(s1, s2) for s1, s2 in pairs]
+    got = _phase_aligned_columns(_amplitude_array(s1 for s1, _ in pairs),
+                                 _amplitude_array(s2 for _, s2 in pairs))
+    assert sum(map(math.isnan, want)) >= 4
+    assert all(map(same_bits, got.tolist(), want))
 
 def test_column_squared_modulus_is_pythons_bit_for_bit():
     # every abs before any **: CPython 3.11's abs of a complex with a NaN
