@@ -40,20 +40,12 @@ from .errors import (
     UnknownGate,
 )
 from .gates import GateSpec, TrajectorySample, _samples
-from .hopf import (
-    _base_point,
-    _h1,
-    _lift,
-    _pair_norms,
-    _quotient,
-    _validate,
-)
+from .hopf import _base_point, _lift, _pair_norms, _quotient
 from .quaternion import _from_complex_pair, _hamilton, _sphere_point, angle_distance
 from .state import (
     TwoQubitState,
     _complex_product,
     _concurrence_columns,
-    _dyad,
     _dyad_entries,
     _matmul,
     _normalized_columns,
@@ -63,7 +55,7 @@ from .state import (
     bell_state,
     phase_aligned_distance,
 )
-from .tolerances import EPS_NUM, EPS_UNIT, EPS_ZERO
+from .tolerances import EPS_NUM, EPS_ZERO
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,18 +192,17 @@ def cmd_amplitudes(args) -> tuple[int, str]:
     state = reconstruct(coords)
     record = {"amplitudes": [[z.real, z.imag] for z in state.amplitudes()]}
     if args.roundtrip:
-        try:
-            again = extract(state)
-            angle_dev = max(angle_distance(x, y) for x, y in
-                            zip(again.angles(), canonicalize(coords).angles()))
-            amp_dev = phase_aligned_distance(state, reconstruct(again))
-            record["roundtrip"] = {
-                "angle_max_deviation": angle_dev,
-                "amplitude_max_deviation": amp_dev,
-                "flags": _flag_names(again),
-            }
-        except SouthPoleA as exc:
-            record["roundtrip"] = _south_pole_payload(exc)
+        # alpha = cos(theta_a/2) cos(theta_b/2) e^(i zeta_b) with both cosines
+        # at least cos(pi/2) ~ 6.1e-17, so extract never meets SouthPoleA
+        again = extract(state)
+        angle_dev = max(angle_distance(x, y) for x, y in
+                        zip(again.angles(), canonicalize(coords).angles()))
+        amp_dev = phase_aligned_distance(state, reconstruct(again))
+        record["roundtrip"] = {
+            "angle_max_deviation": angle_dev,
+            "amplitude_max_deviation": amp_dev,
+            "flags": _flag_names(again),
+        }
     return 0, _json(record)
 
 
@@ -347,8 +338,7 @@ def _scalar_steps(a: complex, b: complex, g: complex, d: complex) -> tuple:
     and cos, the xi claim's cmath.exp and ball_identity's math.hypot are
     not numpy's: numpy rounds its arctan2 and angle apart from math.atan2
     and cmath.phase in about 7% of normal draws, and its hypot apart from
-    math.hypot.  The sphere guard of partial_trace_projection runs here so
-    that it raises in sweep order.
+    math.hypot.
 
     It returns reconstruct's four amplitudes before TwoQubitState
     normalizes them, ball_identity, the coordinates' concurrence, whether xi
@@ -360,28 +350,25 @@ def _scalar_steps(a: complex, b: complex, g: complex, d: complex) -> tuple:
     amplitudes = _reconstruct(theta_a, phi_a, chi, xi, theta_b, phi_b, zeta_b)
     defined = _XI_UNDEFINED not in flags
     e = cmath.exp(1j * (xi - 0.5 * math.pi)) if defined else 0j
-    p = _base_point(theta_a, phi_a, chi, xi)
-    _validate(*p)
-    x0, x1, x2, x3, x4 = p
+    x0, x1, x2, x3, x4 = _base_point(theta_a, phi_a, chi, xi)
     ball = abs(x0 ** 2 + x1 ** 2 + x4 ** 2 + math.hypot(x2, x3) ** 2 - 1.0)
     return (*amplitudes, ball, _concurrence(theta_a, phi_a, chi), defined,
             e.real, e.imag, x0, x1, x4)
 
 
 def _quaternion_deviations(vec: np.ndarray,
-                           fibs: np.ndarray) -> tuple[int, np.ndarray,
-                                                      np.ndarray]:
-    """(stop, projector, fiber) of a block of states, given their amplitudes
-    `vec` and unit fiber elements `fibs`, a row each: the projector and
-    fiber_invariance deviations as columns, and the first row that a
-    NotNormalized guard of _dyad or _h1 rejects (len(vec) when none does),
-    from which on the columns mean nothing.
+                           fibs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projector and fiber_invariance deviations of a block of states,
+    as columns, given their unit amplitudes `vec` and unit fiber elements
+    `fibs`, a row each.
 
     The float cores run unchanged on numpy float64 columns.  numpy's + - *
     /, sqrt and abs round as Python's floats do, each ufunc call is one
     operation (nothing fuses a multiply and an add), and the expression
     trees are the cores' own, so each row is bit for bit what the cores give
-    on that state's floats.  Only the guards take a column form."""
+    on that state's floats.  The cores' NotNormalized guards are left out:
+    every row is unit, and so is the pair moved by a unit fiber element,
+    each within a few ulps of 1 (tests/test_cli.py measures them)."""
     import numpy as np
     q0 = _from_complex_pair(vec[:, 0], vec[:, 1])
     q1 = _from_complex_pair(vec[:, 2], vec[:, 3])
@@ -397,24 +384,16 @@ def _quaternion_deviations(vec: np.ndarray,
             _distance(s01, e01), _distance(s10, e10), _distance(s11, e11)))
 
         moved0, moved1 = _hamilton(*q0, *fib), _hamilton(*q1, *fib)
-        n2, total = _pair_norms(q0, q1)
-        moved_n2, moved_total = _pair_norms(moved0, moved1)
+        n2 = _pair_norms(q0, q1)[0]
+        moved_n2 = _pair_norms(moved0, moved1)[0]
         base = _lift(_quotient(q0, q1, n2))
         moved = _lift(_quotient(moved0, moved1, moved_n2))
         fiber = _nan_max_columns(tuple(
             abs(x - y) for x, y in zip(base, moved)))
-
-        # _dyad's guard (_h1's on the pair is the same), then _h1's on the
-        # moved pair, which only a pair off infinity reaches
-        at_infinity = n2 <= EPS_ZERO * EPS_ZERO
-        rejected = ~((abs(total - 1.0) <= EPS_UNIT)
-                     & (at_infinity | (abs(moved_total - 1.0) <= EPS_UNIT)))
     # q1 = 0 (or q1 * fib): every fiber element maps to the north pole, so
     # there is nothing to compare
-    at_infinity |= moved_n2 <= EPS_ZERO * EPS_ZERO
-    fiber = np.where(at_infinity, 0.0, fiber)
-    stop = np.flatnonzero(rejected)
-    return (int(stop[0]) if stop.size else len(vec)), projector, fiber
+    at_infinity = (n2 <= EPS_ZERO * EPS_ZERO) | (moved_n2 <= EPS_ZERO * EPS_ZERO)
+    return projector, np.where(at_infinity, 0.0, fiber)
 
 
 def _concurrence_identity(vec: np.ndarray, concurrence: np.ndarray,
@@ -465,7 +444,8 @@ def _check_block(rows: list, vec: np.ndarray, fibs: np.ndarray) -> np.ndarray:
     """Each state's deviation from each of _INVARIANTS, a row each, with its
     amplitudes a tuple of `rows` and a row of the complex array `vec`, and
     its unit fiber element a row of fibs.  It raises the error that
-    checking the states one at a time, in order, meets first.
+    checking the states one at a time, in order, meets first: only
+    _scalar_steps raises.
 
     Past _scalar_steps, every invariant runs once per block on numpy
     columns, an entry per state.  Each column step is an operation that
@@ -474,16 +454,8 @@ def _check_block(rows: list, vec: np.ndarray, fibs: np.ndarray) -> np.ndarray:
     in real parts, np.hypot for the complex abs, np.float_power for ** 2),
     so each row is bit for bit that formula's."""
     import numpy as np
-    stop, projector, fiber = _quaternion_deviations(vec, fibs)
-    # the states after the first that a guard rejects are never reached,
-    # and the scalar steps of the states up to it come first
-    steps = np.array([_scalar_steps(*row) for row in rows[:stop + 1]])
-    if stop < len(rows):
-        # the cores raise that state's NotNormalized, with their message
-        (a, b, g, d), fib = vec[stop].tolist(), fibs[stop].tolist()
-        q0, q1 = _from_complex_pair(a, b), _from_complex_pair(g, d)
-        _dyad(q0, q1)
-        _h1(_hamilton(*q0, *fib), _hamilton(*q1, *fib))
+    steps = np.array([_scalar_steps(*row) for row in rows])
+    projector, fiber = _quaternion_deviations(vec, fibs)
     ball, concurrence, defined, e_re, e_im, x0, x1, x4 = steps[:, 4:].real.T
     table = np.empty((len(rows), len(_INVARIANTS)))
     table[:, 0] = _phase_aligned_columns(vec, _normalized_columns(steps[:, :4]))

@@ -125,7 +125,9 @@ def phase_aligned_distance(s1: TwoQubitState, s2: TwoQubitState) -> float:
     if abs(d1) > top:
         u1, u2 = d1, d2
     if abs(u2) == 0.0:
-        da, db, dg, dd = abs(a1 - a2), abs(b1 - b2), abs(g1 - g2), abs(d1 - d2)
+        # float() for int amplitudes, whose differences abs keeps as ints
+        da, db, dg, dd = (float(abs(a1 - a2)), float(abs(b1 - b2)),
+                          float(abs(g1 - g2)), float(abs(d1 - d2)))
     else:
         phase = u1 / u2
         try:

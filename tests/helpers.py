@@ -203,7 +203,7 @@ def reference_phase_aligned_distance(s1: TwoQubitState,
     v2 = s2.amplitudes()
     k = max(range(4), key=lambda i: abs(v1[i]))
     if abs(v2[k]) == 0.0:
-        return max(abs(a - b) for a, b in zip(v1, v2))
+        return float(max(abs(a - b) for a, b in zip(v1, v2)))
     phase = v1[k] / v2[k]
     phase /= abs(phase)
     return max(abs(a - phase * b) for a, b in zip(v1, v2))

@@ -24,7 +24,6 @@ from hopfbloch import (
     FiberAtInfinity,
     GateSpec,
     HopfBlochError,
-    NotNormalized,
     OffSphere,
     TwoQubitState,
     bell_state,
@@ -36,8 +35,9 @@ from hopfbloch import (
 )
 from hopfbloch import cli, svg
 from hopfbloch.cli import main
-from hopfbloch.hopf import _h1, _lift
-from hopfbloch.quaternion import _from_complex_pair
+from hopfbloch.bloch import _extract
+from hopfbloch.hopf import _base_point, _h1, _lift, _pair_norms
+from hopfbloch.quaternion import _from_complex_pair, _hamilton
 from hopfbloch.state import (
     _reduced_columns,
     _set_alpha,
@@ -175,16 +175,27 @@ def test_amplitudes_bell_01_and_roundtrip(capsys):
 
 
 def test_amplitudes_roundtrip_at_the_south_pole(capsys):
-    # theta_a = pi leaves alpha = cos(pi/2) ~ 6.1e-17, not 0: off the exact
-    # south pole, so extract re-reads the state with its conventions flagged
-    code, out = run(capsys, ["amplitudes", "--angles",
-                             "3.141592653589793,0,0,0,0,0,0", "--roundtrip"])
-    assert code == 0
-    roundtrip = json.loads(out)["roundtrip"]
-    assert roundtrip["angle_max_deviation"] == 0.0
-    assert roundtrip["amplitude_max_deviation"] == 0.0
-    assert roundtrip["flags"] == ["phi_a_undefined", "phi_b_undefined",
-                                  "t_undefined", "xi_undefined"]
+    # theta_a = pi leaves alpha = cos(pi/2) cos(theta_b/2) e^(i zeta_b), at
+    # least cos(pi/2)^2 ~ 3.7e-33 in modulus, not 0: off the exact south
+    # pole, so extract re-reads the state with its conventions flagged
+    at_theta_b_pi = ["phi_a_undefined", "t_undefined",
+                     "theta_b_pi_ambiguous", "xi_undefined"]
+    cases = {(0.0, 0.0): ["phi_a_undefined", "phi_b_undefined",
+                          "t_undefined", "xi_undefined"],
+             (PI, 0.0): at_theta_b_pi,
+             (PI, math.nextafter(2 * PI, 0.0)): at_theta_b_pi}
+    for (theta_b, zeta_b), flags in cases.items():
+        code, out = run(capsys, ["amplitudes", "--angles",
+                                 f"{PI!r},0,0,0,{theta_b!r},0,{zeta_b!r}",
+                                 "--roundtrip"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["amplitudes"][0][0] >= 3.7e-33
+        roundtrip = record["roundtrip"]
+        tol = 0.0 if zeta_b == 0.0 else 2e-15  # 2 pi - 1 ulp: one rounding
+        assert roundtrip["angle_max_deviation"] <= tol
+        assert roundtrip["amplitude_max_deviation"] <= tol
+        assert roundtrip["flags"] == flags
 
 
 def test_amplitudes_out_of_range(capsys):
@@ -647,20 +658,49 @@ def test_check_block_at_infinity_emits_no_warning(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_quaternion_guards_stop_at_the_first_rejected_row():
-    vec = np.array([bell_state("00").amplitudes()] * 6, dtype=complex)
-    fibs = cli._unit_rows(np.random.default_rng(2).normal(size=(6, 4)))
-    assert cli._quaternion_deviations(vec, fibs)[0] == 6  # none rejected
-    vec[3] *= 1 + 1e-8  # |q0|^2 + |q1|^2 = 1 + 2e-8
-    vec[4, 0] = math.nan
-    assert cli._quaternion_deviations(vec, fibs)[0] == 3
-    vec[1, 3] = math.nan
-    assert cli._quaternion_deviations(vec, fibs)[0] == 1
-    # the moved pair too, but only where the pair is off infinity
-    vec = np.array([(1, 0, 0, 0), *[bell_state("00").amplitudes()] * 3],
-                   dtype=complex)
-    fibs[:4] *= 2
-    assert cli._quaternion_deviations(vec, fibs[:4])[0] == 1
+# --state inputs at the edges of what check accepts: a norm off by 9e-7,
+# which TwoQubitState renormalizes, a 1e-300 part and subnormal parts
+EDGE_STATE_ARGS = ("1.0000009,0;0,0;0,0;0,0", "0.6,0;0,0;0.8,0;0,1e-300",
+                   "0.6,5e-324;0.8,0;0,0;0,0", "0,0;1,0;1e-310,0;0,0")
+
+# The premise that lets check run the float cores without their guards:
+# the pair, the pair moved by its fiber element and the base point of its
+# extracted angles are each unit to within a few ulps (at most 9e-16
+# measured), where the guards allow EPS_UNIT = 1e-9.  1e-13 is about 450
+# ulps of 1: far above rounding, and 1e4 times below what a guard would
+# reject, so a row that breaks it has lost its normalization.
+PREMISE_TOLERANCE = 1e-13
+
+
+def test_check_rows_are_unit_where_the_core_guards_are_left_out(monkeypatch):
+    # the (vec, fibs) of every block that check builds
+    blocks, check_block = [], cli._check_block
+
+    def record(rows, vec, fibs):
+        blocks.append((vec, fibs))
+        return check_block(rows, vec, fibs)
+
+    monkeypatch.setattr(cli, "_check_block", record)
+    monkeypatch.delenv("HOPFBLOCH_SEED", raising=False)
+    for seed in range(5):
+        cli._check_table(np.random.default_rng(seed), None, 2000)
+    for state in CHECK_STATES:
+        cli._check_table(np.random.default_rng(0), state, 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for arg in EDGE_STATE_ARGS:
+            assert main(["check", f"--state={arg}"]) == 0, arg
+    assert sum(len(vec) for vec, _ in blocks) == (
+        5 * 2000 + len(CHECK_STATES) + len(EDGE_STATE_ARGS))
+    for vec, fibs in blocks:
+        q0 = _from_complex_pair(vec[:, 0], vec[:, 1])
+        q1 = _from_complex_pair(vec[:, 2], vec[:, 3])
+        fib = tuple(fibs.T)
+        total = _pair_norms(q0, q1)[1]
+        moved = _pair_norms(_hamilton(*q0, *fib), _hamilton(*q1, *fib))[1]
+        sphere = [sum(x * x for x in _base_point(*_extract(*row)[:4]))
+                  for row in vec.tolist()]
+        for err in (total - 1.0, moved - 1.0, np.array(sphere) - 1.0):
+            assert (abs(err) <= PREMISE_TOLERANCE).all(), err
 
 
 def test_nan_max_columns_is_nan_max_row_by_row():
@@ -691,39 +731,19 @@ def _first_error(check):
     return type(info.value), str(info.value)
 
 
-def test_check_block_raises_what_the_per_state_sweep_meets_first(monkeypatch):
-    good, at_infinity = bell_state("00"), TwoQubitState(1 + 0j, 0j, 0j, 0j)
+def test_check_block_raises_what_the_per_state_sweep_meets_first():
+    good = bell_state("00")
     off_sphere = _raw_state(complex(math.nan), 0j, 0j, 0j)
-    unit = cli._unit_rows(np.random.default_rng(4).normal(size=(4, 4)))
-
-    def fibs(doubled=(), nan=()):
-        """unit with the rows `doubled` doubled and the rows `nan` NaN."""
-        out = unit.copy()
-        out[list(doubled)] *= 2
-        out[list(nan), 0] = math.nan
-        return out
-
-    # _h1's guard on the moved pair, which only a pair off infinity reaches
-    states = [good, at_infinity, good, good]
-    assert _first_error(lambda: _check_block(
-        states, fibs(doubled=(1, 2), nan=(3,)))) == (
-        NotNormalized, "|q0|^2 + |q1|^2 = 4, expected 1")
-    assert _first_error(lambda: _check_block(
-        states, fibs(doubled=(1,), nan=(3,)))) == (
-        NotNormalized, "|q0|^2 + |q1|^2 = nan, expected 1")
-    # a state before the rejected one raises first; one after it is never
+    doubled = _raw_state(2 + 0j, 0j, 0j, 0j)  # |x|^2 = 16
+    unit = cli._unit_rows(np.random.default_rng(4).normal(size=(3, 4)))
+    # the first state that extract rejects raises; one after it is never
     # reached
     assert _first_error(lambda: _check_block(
-        [good, off_sphere, good], fibs(doubled=(2,))[:3])) == (
+        [good, off_sphere, doubled], unit)) == (
         OffSphere, "coordinates off the unit 4-sphere by nan")
     assert _first_error(lambda: _check_block(
-        [good, good, off_sphere], fibs(doubled=(1,))[:3]))[0] is NotNormalized
-    # _dyad's guard, whose state extract rejects first unless stubbed out
-    monkeypatch.setattr(cli, "_scalar_steps", lambda a, b, g, d: (0.0,) * 12)
-    scaled = _raw_state(*(a * (1 + 1e-8) for a in good.amplitudes()))
-    assert _first_error(lambda: _check_block(
-        [good, scaled, off_sphere], unit[:3])) == (
-        NotNormalized, "quasi-state norm^2 1.00000002 is not 1")
+        [good, doubled, off_sphere], unit)) == (
+        OffSphere, "coordinates off the unit 4-sphere by 1.500e+01")
 
 
 # tracemalloc peak growth of `check --count` per state between two counts:

@@ -1,6 +1,8 @@
 """Every private helper in src/ must have a caller in src/, every name the
 package re-exports must have a user, and every public name without a caller
-in src/ has a stated reason, so none is kept alive only by the tests."""
+in src/ has a stated reason, so none is kept alive only by the tests.  Every
+name that a module of src/ but __init__ imports is read where it is
+imported, as pyflakes would check."""
 
 import ast
 import re
@@ -106,6 +108,54 @@ def _library_section_names():
             for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
+def _scope_imports(scope):
+    """The import statements of scope (a module or a function) outside the
+    functions and classes nested in it, `if TYPE_CHECKING:` blocks
+    included."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, DEFS):
+            yield from _scope_imports(child)
+
+
+def _read_names(scope):
+    """Every bare name that scope reads, the names in string annotations
+    too."""
+    read = set()
+    for inner in ast.walk(scope):
+        if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+            read.add(inner.id)
+        for note in (getattr(inner, "annotation", None),
+                     getattr(inner, "returns", None)):
+            for part in ast.walk(note) if note is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value,
+                                                                 str):
+                    read |= _read_names(ast.parse(part.value, mode="eval"))
+    return read
+
+
+def _unused_imports():
+    """'module.name' of each name that an import binds in a module of src/
+    but __init__, or in one of its functions, and that the same scope never
+    reads; `import a.b` binds a, and `from __future__` binds nothing."""
+    found = []
+    for module, body in _modules():
+        if module == "__init__":
+            continue
+        tree = ast.Module(body=body, type_ignores=[])
+        for scope in (tree, *(node for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef))):
+            read = _read_names(scope)
+            found += [f"{module}.{alias.asname or alias.name.split('.')[0]}"
+                      for node in _scope_imports(scope)
+                      if getattr(node, "module", None) != "__future__"
+                      for alias in node.names
+                      if (alias.asname or alias.name.split(".")[0])
+                      not in read]
+    return found
+
+
 README = "README Library API"
 TRACER = "benchmark tracer target"
 DISPATCH = "cmd_* dispatched by name in cli._run"
@@ -153,3 +203,7 @@ def test_every_uncalled_public_name_has_a_stated_reason():
         else:
             assert reason == DISPATCH and module == "cli", qualified
             assert name.startswith("cmd_"), qualified
+
+
+def test_every_imported_name_is_read_in_its_module():
+    assert _unused_imports() == []

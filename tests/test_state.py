@@ -624,6 +624,9 @@ def test_column_phase_alignment_is_phase_aligned_distance_bit_for_bit():
     got = _phase_aligned_columns(_amplitude_array(s1 for s1, _ in pairs),
                                  _amplitude_array(s2 for _, s2 in pairs))
     assert sum(map(math.isnan, want)) >= 4
+    # int amplitudes, 0 where the first state peaks: the fallback's float
+    assert same_bits(phase_aligned_distance(basis[0], basis[1]), 1.0)
+    assert all(type(d) is float for d in want)
     assert all(map(same_bits, got.tolist(), want))
 
 def test_column_squared_modulus_is_pythons_bit_for_bit():
